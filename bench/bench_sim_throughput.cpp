@@ -12,7 +12,6 @@
 #include "socgen/rtl/netlist_sim.hpp"
 #include "socgen/rtl/primitives.hpp"
 #include "socgen/rtl/sim_backend.hpp"
-#include "socgen/rtl/sim_batch.hpp"
 #include "socgen/socgen.hpp"
 
 #include <benchmark/benchmark.h>
@@ -199,140 +198,6 @@ void BM_CodegenSetupWarm(benchmark::State& state) {
     ::unsetenv("SOCGEN_CODEGEN_CACHE_DIR");
 }
 BENCHMARK(BM_CodegenSetupWarm)->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// Partitioned and batched evaluation matrix. Items are *lane-cycles*
-// (iterations × lanes), so every row below reports per-lane throughput
-// directly comparable to the scalar rows above; the scalar single-thread
-// baseline is BM_SimBackendRandomActive/1. The acceptance bar for this
-// matrix: BM_SimBatchRandomActive threads=4 × 64 lanes sustains at least
-// 3x the per-lane rate of that baseline.
-// ---------------------------------------------------------------------------
-
-rtl::SimConfig benchConfig(std::int64_t threads, std::int64_t lanes) {
-    rtl::SimConfig config;
-    config.backend = rtl::SimBackend::Compiled;
-    config.threads = static_cast<unsigned>(threads);
-    config.batchLanes = static_cast<unsigned>(lanes);
-    return config;
-}
-
-void BM_SimThreadsRandomActive(benchmark::State& state) {
-    // Scalar partitioned evaluation: level bands split across a worker
-    // pool. One argument: thread count.
-    const rtl::Netlist netlist = benchRandomNetlist();
-    const auto sim = rtl::makeSimulator(netlist, benchConfig(state.range(0), 0));
-    socgen::testing::SplitMix64 rng(7);
-    std::vector<std::string> ports;
-    for (unsigned i = 0; i < 8; ++i) {
-        ports.push_back("in" + std::to_string(i));
-    }
-    for (auto _ : state) {
-        for (const auto& port : ports) {
-            sim->setInput(port, rng.next());
-        }
-        sim->step();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-    state.SetLabel(format("threads=%lld", static_cast<long long>(state.range(0))));
-}
-BENCHMARK(BM_SimThreadsRandomActive)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_SimBatchCounterStep(benchmark::State& state) {
-    // Tiny design: measures the per-lane floor of batch dispatch.
-    const rtl::Netlist netlist = rtl::makeCounter("ctr", 32);
-    const auto batch = rtl::makeSimBatch(netlist, benchConfig(1, state.range(0)));
-    batch->setInputAll("en", 1);
-    for (auto _ : state) {
-        batch->step();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            batch->laneCount());
-    state.SetLabel(format("lanes=%u", batch->laneCount()));
-}
-BENCHMARK(BM_SimBatchCounterStep)->Arg(1)->Arg(64);
-
-void BM_SimBatchRandomActive(benchmark::State& state) {
-    // Arguments: {threads, lanes}. Every lane gets fresh random inputs
-    // every cycle — the op sweep re-evaluates everything, so the win is
-    // pure dispatch amortisation (and band partitioning at threads > 1).
-    const rtl::Netlist netlist = benchRandomNetlist();
-    const auto batch =
-        rtl::makeSimBatch(netlist, benchConfig(state.range(0), state.range(1)));
-    socgen::testing::SplitMix64 rng(7);
-    std::vector<std::string> ports;
-    for (unsigned i = 0; i < 8; ++i) {
-        ports.push_back("in" + std::to_string(i));
-    }
-    for (auto _ : state) {
-        for (unsigned lane = 0; lane < batch->laneCount(); ++lane) {
-            for (const auto& port : ports) {
-                batch->setInput(port, lane, rng.next());
-            }
-        }
-        batch->step();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            batch->laneCount());
-    state.SetLabel(format("threads=%lld lanes=%u",
-                          static_cast<long long>(state.range(0)), batch->laneCount()));
-}
-BENCHMARK(BM_SimBatchRandomActive)
-    ->Args({1, 1})
-    ->Args({1, 16})
-    ->Args({1, 64})
-    ->Args({2, 64})
-    ->Args({4, 64});
-
-void BM_SimBatchRandomQuiescent(benchmark::State& state) {
-    // Inputs held constant: batch-wide dirty skipping must preserve the
-    // scalar engine's quiescent win while covering 64 lanes.
-    const rtl::Netlist netlist = benchRandomNetlist();
-    const auto batch =
-        rtl::makeSimBatch(netlist, benchConfig(state.range(0), state.range(1)));
-    socgen::testing::SplitMix64 rng(7);
-    for (unsigned i = 0; i < 8; ++i) {
-        batch->setInputAll("in" + std::to_string(i), rng.next());
-    }
-    for (auto _ : state) {
-        batch->step();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            batch->laneCount());
-    state.SetLabel(format("threads=%lld lanes=%u",
-                          static_cast<long long>(state.range(0)), batch->laneCount()));
-}
-BENCHMARK(BM_SimBatchRandomQuiescent)->Args({1, 64})->Args({4, 64});
-
-void BM_SimBatchHlsHistogramCore(benchmark::State& state) {
-    // The generated-accelerator cosim shape, batched: one stimulus
-    // sweep's worth of lanes over the HISTOGRAM core.
-    const hls::HlsResult r =
-        hls::HlsEngine{}.synthesize(apps::makeHistogramKernel(16384), {});
-    const auto batch =
-        rtl::makeSimBatch(r.netlist, benchConfig(state.range(0), state.range(1)));
-    batch->setInputAll("ap_start", 1);
-    for (const auto& port : r.netlist.ports()) {
-        if (port.dir != rtl::PortDir::In) {
-            continue;
-        }
-        if (port.name.ends_with("_tvalid") || port.name.ends_with("_tready")) {
-            batch->setInputAll(port.name, 1);
-        } else if (port.name.ends_with("_tdata")) {
-            for (unsigned lane = 0; lane < batch->laneCount(); ++lane) {
-                batch->setInput(port.name, lane, 0x20 + lane);
-            }
-        }
-    }
-    for (auto _ : state) {
-        batch->step();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            batch->laneCount());
-    state.SetLabel(format("threads=%lld lanes=%u",
-                          static_cast<long long>(state.range(0)), batch->laneCount()));
-}
-BENCHMARK(BM_SimBatchHlsHistogramCore)->Args({1, 64})->Args({4, 64});
 
 void BM_KernelVmGaussCycle(benchmark::State& state) {
     const hls::Kernel kernel = apps::makeGaussKernel(1 << 20);

@@ -176,19 +176,11 @@ std::string Flow::flowFingerprint(const std::string& projectName,
                                   const TaskGraph& graph) const {
     // Everything that determines the flow's outputs; fault-injection
     // hooks, retry policy and `jobs` are deliberately excluded so a
-    // crashed run and its recovery run agree on the fingerprint.
+    // crashed run and its recovery run agree on the fingerprint. The
+    // flow builds no RTL simulator, so no simulation setting belongs
+    // here (FlowRecovery.FingerprintCoversExactlyTheOutputInputs).
     HashStream h;
-    h.field("socgen-flow-v5");
-    // The resolved simulation engine configuration is part of the
-    // identity of every sim-derived output: a journal written under one
-    // backend must never be resumed under the other (Auto resolves to
-    // the compiled engine, so unset and "compiled" agree). Thread and
-    // lane counts are resolved the same way (env overrides applied, Auto
-    // collapsed), so a recovery run launched with the same settings
-    // replays while SOCGEN_SIM_THREADS=4 vs unset does not.
-    h.field(rtl::simBackendName(rtl::resolveSimBackend(options_.simBackend)));
-    h.field(static_cast<std::uint64_t>(rtl::resolveSimThreads(options_.simThreads)));
-    h.field(static_cast<std::uint64_t>(rtl::resolveSimLanes(options_.simBatchLanes)));
+    h.field("socgen-flow-v6");
     h.field(projectName);
     h.field(graph.renderDsl(projectName));
     h.field(options_.device.part).field(options_.device.board);

@@ -11,7 +11,6 @@
 #include "socgen/core/supervisor.hpp"
 #include "socgen/core/synth_gate.hpp"
 #include "socgen/hls/engine.hpp"
-#include "socgen/rtl/sim_backend.hpp"
 #include "socgen/sim/fault.hpp"
 #include "socgen/soc/bitstream.hpp"
 #include "socgen/soc/block_design.hpp"
@@ -85,28 +84,6 @@ struct FlowOptions {
     /// Tool identity folded into artifact keys: bumping it invalidates
     /// every stored artifact, like moving to a new Vivado release.
     std::string toolVersion = "socgen-hls-1";
-
-    /// RTL simulation backend used for sim-derived flow outputs (core
-    /// hosting, traces, timing reports). Auto resolves through the
-    /// SOCGEN_SIM_BACKEND environment override, then to Compiled. The
-    /// resolved name is folded into the flow fingerprint — switching the
-    /// backend resets the journal instead of replaying artifacts that
-    /// were derived under the other engine. Excluded from the HLS
-    /// artifact key on purpose: generated netlists do not depend on how
-    /// they are later simulated.
-    rtl::SimBackend simBackend = rtl::SimBackend::Auto;
-
-    /// Worker threads for the compiled backend's partitioned level-band
-    /// evaluation. 0 (Auto) resolves through SOCGEN_SIM_THREADS, then 1.
-    /// Fingerprint-relevant like the backend: partitioned evaluation is
-    /// bit-identical by construction, but the fingerprint records the
-    /// resolved count so any divergence a future change introduced would
-    /// reset the journal instead of silently replaying artifacts.
-    unsigned simThreads = 0;
-
-    /// Stimulus lanes for batched co-simulation sweeps (1..64; 0 = 1).
-    /// Folded into the flow fingerprint for the same reason.
-    unsigned simBatchLanes = 0;
 
     /// Retry/deadline policy applied to every supervised flow stage.
     StagePolicy stagePolicy;

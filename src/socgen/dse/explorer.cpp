@@ -3,7 +3,6 @@
 #include "socgen/common/error.hpp"
 #include "socgen/common/log.hpp"
 #include "socgen/common/strings.hpp"
-#include "socgen/rtl/sim_batch.hpp"
 
 #include <algorithm>
 #include <sstream>
@@ -186,58 +185,6 @@ std::string renderTable(const std::vector<DsePoint>& points) {
                       isPareto(p.mask) ? "*" : "");
     }
     return out.str();
-}
-
-std::vector<CosimLaneResult> batchCosim(const rtl::Netlist& netlist,
-                                        const std::vector<CosimScenario>& scenarios,
-                                        std::string_view donePort, std::uint64_t maxCycles,
-                                        const rtl::SimConfig& config) {
-    require(!scenarios.empty(), "batchCosim needs at least one scenario");
-    require(scenarios.size() <= rtl::kMaxSimLanes, "too many co-simulation scenarios");
-    rtl::SimConfig batchConfig = config;
-    batchConfig.batchLanes = static_cast<unsigned>(scenarios.size());
-    const auto batch = rtl::makeSimBatch(netlist, batchConfig);
-
-    std::vector<CosimLaneResult> results(scenarios.size());
-    for (unsigned lane = 0; lane < scenarios.size(); ++lane) {
-        results[lane].scenario = scenarios[lane].name;
-        for (const auto& [port, value] : scenarios[lane].inputs) {
-            batch->setInput(port, lane, value);
-        }
-    }
-
-    // Step until every lane saw done (or faulted) or the budget runs out.
-    // An empty done port means "run the full budget" for every lane.
-    std::uint64_t pending = scenarios.size();
-    for (std::uint64_t cycle = 0; cycle < maxCycles && pending > 0; ++cycle) {
-        batch->step();
-        batch->evaluate();
-        for (unsigned lane = 0; lane < scenarios.size(); ++lane) {
-            CosimLaneResult& r = results[lane];
-            if (r.done || r.faulted) {
-                continue;
-            }
-            if (batch->laneFaulted(lane)) {
-                r.faulted = true;
-                r.faultCycle = batch->laneFaultCycle(lane);
-                r.faultMessage = batch->laneFaultMessage(lane);
-                --pending;
-            } else if (!donePort.empty() && batch->output(donePort, lane) != 0) {
-                r.done = true;
-                r.doneCycle = batch->cycleCount();
-                --pending;
-            }
-        }
-    }
-
-    for (unsigned lane = 0; lane < scenarios.size(); ++lane) {
-        for (const rtl::Port& port : netlist.ports()) {
-            if (port.dir == rtl::PortDir::Out) {
-                results[lane].outputs[port.name] = batch->output(port.name, lane);
-            }
-        }
-    }
-    return results;
 }
 
 } // namespace socgen::dse

@@ -9,7 +9,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace socgen::dse {
@@ -112,41 +111,5 @@ struct GreedyResult {
 /// Formats a sweep as a fixed-width table (mask, label, LUT/FF/BRAM/DSP,
 /// cycles, speedup vs the all-software point, Pareto membership).
 [[nodiscard]] std::string renderTable(const std::vector<DsePoint>& points);
-
-/// One stimulus scenario of a batched gate-level co-simulation sweep:
-/// input ports held at fixed values while the core runs to completion.
-struct CosimScenario {
-    std::string name;
-    std::map<std::string, std::uint64_t> inputs;
-};
-
-/// What one scenario lane produced. `outputs` holds every output port of
-/// the netlist at the moment the lane finished (done seen, fault, or the
-/// cycle budget ran out).
-struct CosimLaneResult {
-    std::string scenario;
-    bool done = false;
-    std::uint64_t doneCycle = 0;   ///< cycleCount() when done first read non-zero
-    std::map<std::string, std::uint64_t> outputs;
-    bool faulted = false;
-    std::uint64_t faultCycle = 0;
-    std::string faultMessage;
-};
-
-/// Runs up to rtl::kMaxSimLanes stimulus scenarios against one candidate
-/// netlist in a single batched simulation (rtl::makeSimBatch): the DSE
-/// evaluator's cycle measurements for all scenarios of a design point
-/// cost one compiled sweep instead of one full simulation per scenario.
-/// Every lane's observable behaviour is identical to a scalar run of the
-/// same scenario (the batch-parity differential suite pins this), so
-/// the measured done-cycles can be compared across candidates evaluated
-/// at different lane counts. `donePort` empty runs every lane for
-/// exactly `maxCycles`; a lane whose scenario trips a simulation fault
-/// (e.g. BRAM overrun) reports it instead of aborting the sweep.
-[[nodiscard]] std::vector<CosimLaneResult> batchCosim(const rtl::Netlist& netlist,
-                                                      const std::vector<CosimScenario>& scenarios,
-                                                      std::string_view donePort,
-                                                      std::uint64_t maxCycles,
-                                                      const rtl::SimConfig& config = {});
 
 } // namespace socgen::dse

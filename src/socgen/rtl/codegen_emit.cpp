@@ -60,8 +60,10 @@ std::string opExpr(const CompiledOp& op) {
     case CellKind::Mux:
         return "(" + a + " == 0ULL ? " + b + " : " + slot(op.c) + ") & " + mask;
     default:
-        throw CodegenError("cannot emit sequential kind " +
-                           std::string(cellKindName(op.code)));
+        // Reachable only when a new combinational CellKind lands without
+        // a case here: an internal error, never a Compiled fallback.
+        throw SimulationError("codegen: cannot emit cell kind " +
+                              std::string(cellKindName(op.code)));
     }
 }
 

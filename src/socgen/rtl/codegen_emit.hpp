@@ -11,11 +11,10 @@
 namespace socgen::rtl {
 
 /// Base of the generated-C++ backend's failures. Derives from
-/// SimulationError (it is a simulator-construction failure), but is a
-/// distinct branch from UnsupportedNetlistError: "codegen cannot run
-/// here" (no compiler, compile failed, dlopen failed) degrades to the
-/// interpreter, which *can* run the same program, whereas an
-/// unsupported construct fails both compiled paths.
+/// SimulationError (it is a simulator-construction failure): "codegen
+/// cannot run here" (no compiler, compile failed, dlopen failed)
+/// degrades to the compiled interpreter, which *can* run the same
+/// program.
 class CodegenError : public SimulationError {
 public:
     explicit CodegenError(const std::string& message)

@@ -119,7 +119,7 @@ std::shared_ptr<CodegenModule> openModule(const std::string& libPath,
 
 /// Emits, compiles (or fetches), loads, and cross-checks the module for
 /// one netlist. The single lock serializes compiles within the process —
-/// N lanes over one netlist pay one compile, not N.
+/// N simulators over one netlist pay one compile, not N.
 std::shared_ptr<CodegenModule> acquireModule(const Netlist& netlist,
                                              const CompiledProgram& prog) {
     const CodegenUnit unit = emitCodegenUnit(netlist, prog);
@@ -207,13 +207,8 @@ std::string codegenCacheDir() {
     return (std::filesystem::temp_directory_path() / "socgen-codegen").string();
 }
 
-CodegenSim::CodegenSim(const Netlist& netlist) : CodegenSim(netlist, SimConfig{}) {}
-
-CodegenSim::CodegenSim(const Netlist& netlist, const SimConfig& config)
+CodegenSim::CodegenSim(const Netlist& netlist)
     : netlist_(netlist), prog_(compileProgram(netlist)) {
-    // The generated code is straight-line and single-threaded; the
-    // threads/grain knobs are compiled-interpreter concerns.
-    (void)config;
     module_ = acquireModule(netlist_, prog_);
     state_ = module_->create();
     vals_ = module_->vals(state_);

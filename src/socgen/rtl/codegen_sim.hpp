@@ -44,15 +44,13 @@ void codegenTestReset();
 /// no per-op dispatch, no operand indirection.
 ///
 /// Construction throws CodegenUnavailableError (no host compiler),
-/// CodegenCompileError (emitted TU rejected), CodegenError (bad module)
-/// or UnsupportedNetlistError (construct neither compiled backend can
-/// lower). makeSimulator(SimBackend::Codegen) catches these and
-/// degrades Codegen → Compiled → EventDriven; constructing CodegenSim
-/// directly is the strict, no-fallback form.
+/// CodegenCompileError (emitted TU rejected) or CodegenError (bad
+/// module). makeSimulator(SimBackend::Codegen) catches these and
+/// degrades Codegen → Compiled; constructing CodegenSim directly is the
+/// strict, no-fallback form.
 class CodegenSim final : public Simulator {
 public:
     explicit CodegenSim(const Netlist& netlist);
-    CodegenSim(const Netlist& netlist, const SimConfig& config);
     ~CodegenSim() override;
 
     CodegenSim(const CodegenSim&) = delete;

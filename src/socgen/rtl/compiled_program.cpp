@@ -1,63 +1,13 @@
 #include "socgen/rtl/compiled_program.hpp"
 
+#include "socgen/common/error.hpp"
 #include "socgen/common/strings.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
 
 namespace socgen::rtl {
 
-namespace {
-
-/// Cell kinds denied via SOCGEN_COMPILED_SIM_DENY (test hook for the
-/// Auto-fallback rule). Comma-separated, case-insensitive kind names.
-bool kindDeniedByEnv(CellKind kind) {
-    const char* env = std::getenv("SOCGEN_COMPILED_SIM_DENY");
-    if (env == nullptr || *env == '\0') {
-        return false;
-    }
-    std::string upper;
-    for (const char* p = env; *p != '\0'; ++p) {
-        upper.push_back(static_cast<char>(std::toupper(static_cast<unsigned char>(*p))));
-    }
-    const std::string name(cellKindName(kind));
-    std::size_t pos = 0;
-    while (pos < upper.size()) {
-        const std::size_t comma = upper.find(',', pos);
-        const std::size_t end = comma == std::string::npos ? upper.size() : comma;
-        std::size_t first = pos;
-        std::size_t last = end;
-        while (first < last && std::isspace(static_cast<unsigned char>(upper[first]))) {
-            ++first;
-        }
-        while (last > first && std::isspace(static_cast<unsigned char>(upper[last - 1]))) {
-            --last;
-        }
-        if (upper.compare(first, last - first, name) == 0) {
-            return true;
-        }
-        if (comma == std::string::npos) {
-            break;
-        }
-        pos = comma + 1;
-    }
-    return false;
-}
-
-} // namespace
-
 CompiledProgram compileProgram(const Netlist& netlist) {
-    // Every current kind has a lowering; the deny hook (and future kinds
-    // without one) reports UnsupportedNetlistError so Auto falls back.
-    for (const Cell& c : netlist.cells()) {
-        if (kindDeniedByEnv(c.kind)) {
-            throw UnsupportedNetlistError(
-                format("netlist %s: cell kind %s has no compiled lowering",
-                       netlist.name().c_str(), std::string(cellKindName(c.kind)).c_str()));
-        }
-    }
-
     CompiledProgram program;
     program.netCount = netlist.nets().size();
 
@@ -178,8 +128,11 @@ CompiledProgram compileProgram(const Netlist& netlist) {
             }
             break;
         default:
-            throw UnsupportedNetlistError(
-                format("netlist %s: sequential cell kind %s has no compiled lowering",
+            // Reachable only when a new sequential CellKind lands without
+            // a lowering here: an internal error, not a fallback case.
+            throw SimulationError(
+                format("compiled-sim: netlist %s: sequential cell kind %s has no "
+                       "compiled lowering",
                        netlist.name().c_str(), std::string(cellKindName(c.kind)).c_str()));
         }
         program.seqOps.push_back(op);

@@ -1,25 +1,16 @@
 #pragma once
 
-#include "socgen/common/error.hpp"
 #include "socgen/rtl/netlist.hpp"
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 namespace socgen::rtl {
-
-/// Raised by the compiled-program builder when the netlist contains a
-/// construct it cannot lower. makeSimulator(SimBackend::Auto) catches
-/// exactly this type and falls back to the event-driven engine.
-class UnsupportedNetlistError : public SimulationError {
-public:
-    explicit UnsupportedNetlistError(const std::string& message)
-        : SimulationError("compiled-sim: " + message) {}
-};
 
 /// One combinational evaluation op: fixed layout, resolved net slots,
 /// precomputed width mask, sorted by level in CompiledProgram::ops.
@@ -49,14 +40,9 @@ struct CompiledSeqOp {
     std::uint32_t statusCount = 0;
 };
 
-/// The immutable result of levelizing one Netlist: a linear evaluation
-/// program over a flat value array. Shared by every compiled executor —
-/// the scalar CompiledSim and the lane-batched BatchCompiledSim are two
-/// execution strategies over the same program, so compiling once pins
-/// the evaluation semantics for both.
 /// Transparent hash so port lookups by string_view do not allocate a
-/// temporary std::string — setInput is called once per port per lane
-/// per cycle on the hot stimulus path.
+/// temporary std::string — setInput is called once per port per cycle
+/// on the hot stimulus path.
 struct PortNameHash {
     using is_transparent = void;
     std::size_t operator()(std::string_view s) const noexcept {
@@ -64,6 +50,10 @@ struct PortNameHash {
     }
 };
 
+/// The immutable result of levelizing one Netlist: a linear evaluation
+/// program over a flat value array. Shared by both compiled executors —
+/// CompiledSim interprets it and CodegenSim emits it as C++ — so
+/// compiling once pins the evaluation semantics for both.
 struct CompiledProgram {
     std::vector<CompiledOp> ops;                ///< sorted by level
     std::vector<std::uint32_t> opLevel;         ///< level of each op
@@ -83,9 +73,8 @@ struct CompiledProgram {
 }
 
 /// Levelizes `netlist` (kept by reference; must outlive the program).
-/// Throws UnsupportedNetlistError when a cell kind cannot be lowered
-/// (including kinds denied via the SOCGEN_COMPILED_SIM_DENY test hook)
-/// and socgen::Error on structural problems (combinational cycles).
+/// Every CellKind has a lowering; throws socgen::Error on structural
+/// problems (combinational cycles).
 [[nodiscard]] CompiledProgram compileProgram(const Netlist& netlist);
 
 } // namespace socgen::rtl

@@ -6,18 +6,8 @@
 
 namespace socgen::rtl {
 
-CompiledSim::CompiledSim(const Netlist& netlist) : CompiledSim(netlist, SimConfig{}) {}
-
-CompiledSim::CompiledSim(const Netlist& netlist, const SimConfig& config)
-    : netlist_(netlist), prog_(compileProgram(netlist)),
-      threads_(resolveSimThreads(config.threads)),
-      grain_(std::max(1u, config.parallelGrainOps)) {
-    if (threads_ > 1) {
-        pool_ = std::make_unique<BandPool>(threads_);
-        // Chunk count per band is bounded by 2 chunks per thread.
-        chunkChanged_.resize(static_cast<std::size_t>(threads_) * 2);
-        chunkOps_.assign(chunkChanged_.size(), 0);
-    }
+CompiledSim::CompiledSim(const Netlist& netlist)
+    : netlist_(netlist), prog_(compileProgram(netlist)) {
     vals_.assign(prog_.netCount, 0);
     state_.assign(prog_.seqOps.size(), 0);
     mems_.reserve(prog_.memDepths.size());
@@ -93,45 +83,6 @@ void CompiledSim::publishSeqOutputs() {
     seqDirty_.clear();
 }
 
-void CompiledSim::evaluateBandParallel(std::vector<std::uint32_t>& bucket) {
-    // Partition the band into contiguous chunks of the pending worklist.
-    // Ops at one level are mutually independent (an edge raises the
-    // consumer's level), so workers touch disjoint pending flags and net
-    // slots; only the consumer marking — which mutates higher-level
-    // worklists — is deferred past the band fence and replayed serially
-    // in chunk order, which is exactly the serial sweep's enqueue order.
-    const std::size_t size = bucket.size();
-    const std::size_t maxChunks = chunkChanged_.size();
-    const std::size_t chunkSize = std::max<std::size_t>(1, (size + maxChunks - 1) / maxChunks);
-    const auto chunkCount = static_cast<std::uint32_t>((size + chunkSize - 1) / chunkSize);
-    pool_->run(chunkCount, [&](std::uint32_t chunk) {
-        const std::size_t first = chunk * chunkSize;
-        const std::size_t last = std::min(size, first + chunkSize);
-        auto& changed = chunkChanged_[chunk];
-        std::uint64_t evaluated = 0;
-        for (std::size_t i = first; i < last; ++i) {
-            const std::uint32_t idx = bucket[i];
-            pending_[idx] = 0;
-            const CompiledOp& op = prog_.ops[idx];
-            const std::uint64_t v = evalOp(op);
-            ++evaluated;
-            if (vals_[op.dst] != v) {
-                vals_[op.dst] = v;
-                changed.push_back(op.dst);
-            }
-        }
-        chunkOps_[chunk] = evaluated;
-    });
-    for (std::uint32_t chunk = 0; chunk < chunkCount; ++chunk) {
-        opsEvaluated_ += chunkOps_[chunk];
-        chunkOps_[chunk] = 0;
-        for (const std::uint32_t dst : chunkChanged_[chunk]) {
-            markConsumers(dst);
-        }
-        chunkChanged_[chunk].clear();
-    }
-}
-
 void CompiledSim::evaluate() {
     // Sequential outputs publish first (they are sources of the comb
     // graph), then one sweep over the level worklists. Ops enqueued
@@ -140,19 +91,15 @@ void CompiledSim::evaluate() {
     publishSeqOutputs();
     for (std::size_t level = 0; level < worklist_.size(); ++level) {
         auto& bucket = worklist_[level];
-        if (pool_ != nullptr && bucket.size() >= grain_) {
-            evaluateBandParallel(bucket);
-        } else {
-            for (std::size_t i = 0; i < bucket.size(); ++i) {
-                const std::uint32_t idx = bucket[i];
-                pending_[idx] = 0;
-                const CompiledOp& op = prog_.ops[idx];
-                const std::uint64_t v = evalOp(op);
-                ++opsEvaluated_;
-                if (vals_[op.dst] != v) {
-                    vals_[op.dst] = v;
-                    markConsumers(op.dst);
-                }
+        for (std::size_t i = 0; i < bucket.size(); ++i) {
+            const std::uint32_t idx = bucket[i];
+            pending_[idx] = 0;
+            const CompiledOp& op = prog_.ops[idx];
+            const std::uint64_t v = evalOp(op);
+            ++opsEvaluated_;
+            if (vals_[op.dst] != v) {
+                vals_[op.dst] = v;
+                markConsumers(op.dst);
             }
         }
         bucket.clear();

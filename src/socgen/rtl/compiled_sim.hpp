@@ -1,12 +1,10 @@
 #pragma once
 
 #include "socgen/common/error.hpp"
-#include "socgen/rtl/band_pool.hpp"
 #include "socgen/rtl/compiled_program.hpp"
 #include "socgen/rtl/sim_backend.hpp"
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,34 +26,16 @@ namespace socgen::rtl {
 /// a whole cycle is one sweep over the level worklists plus one sweep
 /// over the sequential update program.
 ///
-/// Partitioned evaluation (SimConfig::threads > 1): a level band whose
-/// pending-op count reaches SimConfig::parallelGrainOps is split into
-/// contiguous chunks evaluated on a persistent BandPool. Ops at one
-/// level never feed each other (an edge raises the consumer's level),
-/// so chunk workers write disjoint net slots; changed outputs are
-/// recorded per chunk and their consumers are enqueued after the
-/// band-wide fence, in chunk-index order — the same order the serial
-/// sweep produces — so worklists, values, and opsEvaluated() are
-/// byte-identical at any thread count (enforced by the diff-sim
-/// thread-parity suite).
-///
 /// Observable semantics are bit-identical to NetlistSimulator at every
 /// post-evaluate()/post-step() point (enforced by tests/test_rtl_diff_sim);
 /// values read between a step() and the next evaluate() follow the same
 /// staleness rule as the event-driven engine (sequential outputs publish
 /// at the start of the next evaluate()).
-///
-/// Test hook: the SOCGEN_COMPILED_SIM_DENY environment variable may hold
-/// a comma-separated list of cell-kind names (e.g. "FSM,BRAM"); netlists
-/// containing a denied kind are reported as unsupported, exercising the
-/// Auto-fallback path without inventing an unsupported construct.
 class CompiledSim final : public Simulator {
 public:
     /// Compiles `netlist` (kept by reference; must outlive the sim).
-    /// Throws UnsupportedNetlistError when a cell kind cannot be lowered
-    /// and socgen::Error on structural problems (combinational cycles).
+    /// Throws socgen::Error on structural problems (combinational cycles).
     explicit CompiledSim(const Netlist& netlist);
-    CompiledSim(const Netlist& netlist, const SimConfig& config);
 
     [[nodiscard]] std::string_view backendName() const override { return "compiled"; }
     void setInput(std::string_view port, std::uint64_t value) override;
@@ -73,28 +53,17 @@ public:
     /// Number of levels after levelization (longest comb path + 1).
     [[nodiscard]] std::size_t levelCount() const { return prog_.levels.size(); }
     /// Total op evaluations executed so far — with dirty skipping this is
-    /// typically far below opCount() × evaluate() calls. Deterministic at
-    /// any thread count.
+    /// typically far below opCount() × evaluate() calls.
     [[nodiscard]] std::uint64_t opsEvaluated() const { return opsEvaluated_; }
-    /// Resolved partitioned-evaluation thread count (1 = serial).
-    [[nodiscard]] unsigned threadCount() const { return threads_; }
 
 private:
     void markAllOpsDirty();
     void markConsumers(std::uint32_t net);
     void publishSeqOutputs();
-    void evaluateBandParallel(std::vector<std::uint32_t>& bucket);
     [[nodiscard]] std::uint64_t evalOp(const CompiledOp& op) const;
 
     const Netlist& netlist_;
     CompiledProgram prog_;
-
-    // Partitioned evaluation.
-    unsigned threads_ = 1;
-    unsigned grain_ = 256;
-    std::unique_ptr<BandPool> pool_;
-    std::vector<std::vector<std::uint32_t>> chunkChanged_;  ///< per chunk: changed dst nets
-    std::vector<std::uint64_t> chunkOps_;                   ///< per chunk: ops evaluated
 
     // Runtime state.
     std::vector<std::uint64_t> vals_;           ///< one word per net

@@ -9,7 +9,6 @@
 #include "socgen/rtl/compiled_sim.hpp"
 #include "socgen/rtl/netlist_sim.hpp"
 
-#include <algorithm>
 #include <mutex>
 #include <utility>
 
@@ -94,78 +93,30 @@ SimBackend simBackendFromEnv(SimBackend fallback) {
     }
 }
 
-SimBackend resolveSimBackend(SimBackend requested) {
-    if (requested == SimBackend::Auto) {
-        requested = simBackendFromEnv(SimBackend::Auto);
-    }
-    return requested == SimBackend::Auto ? SimBackend::Compiled : requested;
-}
-
-unsigned resolveSimThreads(unsigned requested) {
-    if (requested == 0) {
-        // Malformed values (SOCGEN_SIM_THREADS=4x, =abc, =0) are rejected
-        // with a diagnostic instead of silently running serial.
-        requested = envUnsigned("SOCGEN_SIM_THREADS").value_or(1);
-    }
-    return std::min(requested, kMaxSimThreads);
-}
-
-unsigned resolveSimLanes(unsigned requested) {
-    if (requested == 0) {
-        requested = 1;
-    }
-    return std::min(requested, kMaxSimLanes);
-}
-
 std::unique_ptr<Simulator> makeSimulator(const Netlist& netlist, SimBackend backend) {
-    SimConfig config;
-    config.backend = backend;
-    return makeSimulator(netlist, config);
-}
-
-std::unique_ptr<Simulator> makeSimulator(const Netlist& netlist, const SimConfig& config) {
-    SimBackend backend = config.backend;
     if (backend == SimBackend::Auto) {
         backend = simBackendFromEnv(SimBackend::Auto);
     }
     switch (backend) {
     case SimBackend::EventDriven:
         return std::make_unique<NetlistSimulator>(netlist);
-    case SimBackend::Compiled:
-        return std::make_unique<CompiledSim>(netlist, config);
     case SimBackend::Codegen:
-        // Graceful chain Codegen → Compiled → EventDriven: a construct
-        // neither compiled path lowers jumps straight to the interpreter;
-        // a codegen-only failure (no host compiler, compile or load
-        // error) falls back to the compiled interpreter. Every hop fires
-        // the structured fallback hook — degradation is observable, but
-        // the caller always gets a working, bit-identical simulator.
+        // A codegen-only failure (no host compiler, compile or load
+        // error) falls back to the compiled interpreter, which runs the
+        // same levelized program. The hop fires the structured fallback
+        // hook — degradation is observable, but the caller always gets a
+        // working, bit-identical simulator.
         try {
-            return std::make_unique<CodegenSim>(netlist, config);
-        } catch (const UnsupportedNetlistError& e) {
-            reportFallback(netlist, SimBackend::Codegen, SimBackend::EventDriven,
-                           e.what());
-            return std::make_unique<NetlistSimulator>(netlist);
+            return std::make_unique<CodegenSim>(netlist);
         } catch (const CodegenError& e) {
             reportFallback(netlist, SimBackend::Codegen, SimBackend::Compiled, e.what());
         }
-        try {
-            return std::make_unique<CompiledSim>(netlist, config);
-        } catch (const UnsupportedNetlistError& e) {
-            reportFallback(netlist, SimBackend::Compiled, SimBackend::EventDriven,
-                           e.what());
-            return std::make_unique<NetlistSimulator>(netlist);
-        }
+        return std::make_unique<CompiledSim>(netlist);
+    case SimBackend::Compiled:
     case SimBackend::Auto:
         break;
     }
-    // Auto: compiled unless the compiler reports an unsupported
-    // construct, in which case the event-driven engine covers it.
-    try {
-        return std::make_unique<CompiledSim>(netlist, config);
-    } catch (const UnsupportedNetlistError&) {
-        return std::make_unique<NetlistSimulator>(netlist);
-    }
+    return std::make_unique<CompiledSim>(netlist);
 }
 
 } // namespace socgen::rtl

@@ -14,19 +14,18 @@ namespace socgen::rtl {
 /// Which RTL simulation engine executes a Netlist.
 ///
 ///  - EventDriven: the original two-phase interpreter (NetlistSimulator).
-///    Walks the cell tables every cycle; slow but covers everything.
+///    Walks the cell tables every cycle; slow but simple — the oracle
+///    the other engines are checked against.
 ///  - Compiled: the levelized backend (CompiledSim). The netlist is
 ///    compiled once into a linear evaluation program over a flat value
 ///    array; quiescent subgraphs are skipped via dirty tracking.
 ///  - Codegen: the generated-C++ backend (CodegenSim). The levelized
 ///    program is emitted as a C++ translation unit, compiled by the
 ///    host toolchain, and dlopened; requires a usable compiler and
-///    degrades Codegen → Compiled → EventDriven via makeSimulator
-///    (see DESIGN.md §15).
-///  - Auto: Compiled when the netlist is supported, EventDriven
-///    otherwise (the fallback rule; see DESIGN.md §10). Codegen is
-///    opt-in (SOCGEN_SIM_BACKEND=codegen or an explicit request) so a
-///    plain flow never pays a host-compiler invocation unasked.
+///    degrades Codegen → Compiled via makeSimulator (see DESIGN.md §15).
+///  - Auto: the SOCGEN_SIM_BACKEND override when set, otherwise
+///    Compiled (DESIGN.md §10). Codegen is opt-in so a plain run never
+///    pays a host-compiler invocation unasked.
 enum class SimBackend { Auto, EventDriven, Compiled, Codegen };
 
 [[nodiscard]] std::string_view simBackendName(SimBackend backend);
@@ -40,55 +39,10 @@ enum class SimBackend { Auto, EventDriven, Compiled, Codegen };
 /// `fallback`. Throws socgen::Error on an unparsable value.
 [[nodiscard]] SimBackend simBackendFromEnv(SimBackend fallback = SimBackend::Auto);
 
-/// Resolves what `makeSimulator(netlist, requested)` would pick before
-/// the unsupported-construct fallback: Auto consults SOCGEN_SIM_BACKEND,
-/// and an unresolved Auto means Compiled. Artifact fingerprints that
-/// cover sim-derived outputs fold this resolved name in, so switching
-/// the backend can never replay a journal written under the other one.
-[[nodiscard]] SimBackend resolveSimBackend(SimBackend requested = SimBackend::Auto);
-
-/// Hard ceiling on worker threads and batch lanes (lanes are packed one
-/// per bit of a 64-bit lane-activity word).
-inline constexpr unsigned kMaxSimThreads = 64;
-inline constexpr unsigned kMaxSimLanes = 64;
-
-/// Resolves the partitioned-evaluation thread count: 0 (Auto) consults
-/// the SOCGEN_SIM_THREADS environment override and falls back to 1
-/// (serial) when unset or unparsable; any request is clamped to
-/// kMaxSimThreads. Like the backend, the resolved value is what flow
-/// fingerprints fold in.
-[[nodiscard]] unsigned resolveSimThreads(unsigned requested = 0);
-
-/// Resolves the batched-stimulus lane count: 0 (Auto) means a single
-/// lane; any request is clamped to kMaxSimLanes. Fingerprint-relevant
-/// for the same reason as the thread count.
-[[nodiscard]] unsigned resolveSimLanes(unsigned requested = 0);
-
-/// Engine configuration accepted by makeSimulator()/makeSimBatch().
-/// Every knob has an Auto (zero) value that degrades gracefully: Auto
-/// backend falls back per the unsupported-construct rule, threads=0
-/// resolves through SOCGEN_SIM_THREADS then serial, batchLanes=0 means
-/// a single lane. The event-driven engine ignores threads entirely —
-/// the knobs widen the compiled backend, they never change semantics
-/// (enforced by the diff-sim thread-parity and lane suites).
-struct SimConfig {
-    SimBackend backend = SimBackend::Auto;
-    /// Worker threads for partitioned level-band evaluation (compiled
-    /// backend only). 0 = SOCGEN_SIM_THREADS env override, then 1.
-    unsigned threads = 0;
-    /// Stimulus lanes for makeSimBatch (1..64). 0 = 1 lane.
-    unsigned batchLanes = 0;
-    /// Minimum pending ops in a level band before it fans out to the
-    /// worker pool; smaller bands evaluate inline on the calling thread
-    /// (a condvar round-trip costs more than a few dozen op evals).
-    /// Tests pin this to 1 to force the parallel path on any band.
-    unsigned parallelGrainOps = 256;
-};
-
 /// One hop of the graceful backend degradation chain, reported through
 /// the process-wide fallback hook: makeSimulator was asked for
 /// `requested` but built `chosen` instead, for `reason` (no host
-/// compiler, unsupported construct, ...). Structured so services can
+/// compiler, compile or load failure). Structured so services can
 /// count and surface degradations instead of grepping warning logs.
 struct SimBackendFallback {
     std::string netlist;    ///< Netlist::name()
@@ -141,21 +95,14 @@ public:
 };
 
 /// Builds a simulator for `netlist`:
-///  - Compiled: compiles; throws socgen::Error if unsupported.
-///  - EventDriven: the interpreter, always available.
-///  - Codegen: the generated-C++ backend, degrading gracefully through
-///    the chain Codegen → Compiled → EventDriven; each hop fires the
-///    fallback hook with a structured reason. Use CodegenSim directly
-///    for strict (throwing) construction.
-///  - Auto: env override first (SOCGEN_SIM_BACKEND), then Compiled with
-///    automatic fallback to EventDriven when compilation reports an
-///    unsupported construct.
+///  - EventDriven: the interpreter.
+///  - Compiled: the levelized backend.
+///  - Codegen: the generated-C++ backend, degrading to Compiled on a
+///    CodegenError (no host compiler, compile or load failure); the hop
+///    fires the fallback hook with a structured reason. Use CodegenSim
+///    directly for strict (throwing) construction.
+///  - Auto: the SOCGEN_SIM_BACKEND override when set, otherwise Compiled.
 [[nodiscard]] std::unique_ptr<Simulator> makeSimulator(const Netlist& netlist,
                                                        SimBackend backend = SimBackend::Auto);
-
-/// Same selection rule, with the full engine configuration (threads,
-/// band grain). The event-driven fallback ignores the extra knobs.
-[[nodiscard]] std::unique_ptr<Simulator> makeSimulator(const Netlist& netlist,
-                                                       const SimConfig& config);
 
 } // namespace socgen::rtl

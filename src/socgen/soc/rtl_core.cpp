@@ -10,12 +10,6 @@ RtlCoreComponent::RtlCoreComponent(std::string name, const rtl::Netlist& netlist
       donePort_(std::move(donePort)),
       sim_(rtl::makeSimulator(netlist, backend)) {}
 
-RtlCoreComponent::RtlCoreComponent(std::string name, const rtl::Netlist& netlist,
-                                   std::string donePort, const rtl::SimConfig& config)
-    : name_(std::move(name)),
-      donePort_(std::move(donePort)),
-      sim_(rtl::makeSimulator(netlist, config)) {}
-
 bool RtlCoreComponent::tick() {
     if (idle()) {
         return false;

@@ -10,7 +10,7 @@ namespace socgen::soc {
 
 /// Adapts a gate-level rtl::Simulator to a sim::Engine component, so a
 /// generated core's netlist can be clocked inside the SoC cycle engine
-/// (one netlist clock per engine cycle) under either RTL backend. Used
+/// (one netlist clock per engine cycle) under any RTL backend. Used
 /// by runtime tests to cosimulate a core at gate level next to the
 /// behavioural system model; the backend is selectable per instance and
 /// via SOCGEN_SIM_BACKEND like every other simulator construction.
@@ -22,12 +22,6 @@ public:
     RtlCoreComponent(std::string name, const rtl::Netlist& netlist,
                      std::string donePort = "ap_done",
                      rtl::SimBackend backend = rtl::SimBackend::Auto);
-
-    /// Full engine configuration (backend, partitioned-evaluation
-    /// threads, band grain); batchLanes is ignored — a component clocks
-    /// one instance of the core.
-    RtlCoreComponent(std::string name, const rtl::Netlist& netlist, std::string donePort,
-                     const rtl::SimConfig& config);
 
     [[nodiscard]] const std::string& name() const override { return name_; }
     bool tick() override;

@@ -64,7 +64,8 @@ struct NetlistGenOptions {
     unsigned bramPairs = 0;
     /// Length of an extra serial combinational chain (each cell consumes
     /// the previous one's output), forcing hundreds of levelization
-    /// levels with one-op bands — the worst case for band dispatch.
+    /// levels with one-op bands — the worst case for the per-level
+    /// worklist sweep.
     unsigned chainDepth = 0;
 };
 
@@ -263,9 +264,8 @@ inline rtl::Netlist randomNetlist(std::uint64_t seed, NetlistGenOptions opt = {}
     return n;
 }
 
-/// The diff-sim sweep's seed list: 40 seeds shared by the scalar
-/// backend-parity, thread-parity and batch-parity suites so every
-/// engine mode is exercised on the same corpus.
+/// The diff-sim sweep's seed list: 40 seeds, so every backend is
+/// exercised on the same corpus.
 inline std::vector<std::uint64_t> diffSimSeeds() {
     std::vector<std::uint64_t> seeds;
     seeds.reserve(40);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace socgen::core {
 namespace {
 
@@ -130,6 +132,10 @@ struct BadCase {
     const char* name;
     const char* source;
 };
+
+// gtest lists a parameter next to its case; without this it prints the
+// two pointers, whose values change from run to run.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.name; }
 
 class ParserErrors : public testing::TestWithParam<BadCase> {};
 

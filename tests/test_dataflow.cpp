@@ -982,43 +982,6 @@ TEST(NetworkRtl, WrapperBackendsAgreeUnderRandomStimulus) {
     }
 }
 
-TEST(NetworkRtl, BatchCosimSweepsWrapperLanes) {
-    const hls::HlsResult piped =
-        hls::HlsEngine{}.synthesize(apps::makeStreamPipelineNetwork(8));
-    std::vector<dse::CosimScenario> scenarios;
-    for (int lane = 0; lane < 4; ++lane) {
-        dse::CosimScenario s;
-        s.name = "lane" + std::to_string(lane);
-        s.inputs["ap_start"] = 1;
-        s.inputs["din_tvalid"] = 1;
-        s.inputs["din_tdata"] = static_cast<std::uint64_t>(10 * lane + 1);
-        s.inputs["dout_tready"] = 1;
-        scenarios.push_back(std::move(s));
-    }
-    const auto lanes =
-        dse::batchCosim(piped.netlist, scenarios, "ap_done", 4096);
-    ASSERT_EQ(lanes.size(), scenarios.size());
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-        EXPECT_FALSE(lanes[i].faulted) << lanes[i].faultMessage;
-        EXPECT_TRUE(lanes[i].done) << lanes[i].scenario;
-        // Identical netlist + schedule on every lane: data differs but
-        // the control walk is lockstep, so all lanes finish together.
-        // (Output values are sampled at the finish moment, after
-        // dout_tvalid has dropped, so lane data is checked by the
-        // scalar cosim test above rather than here.)
-        EXPECT_EQ(lanes[i].doneCycle, lanes[0].doneCycle) << lanes[i].scenario;
-    }
-    // Deterministic across invocations (batch parity is pinned by the
-    // diff-sim suite; this pins the wrapper's use of it).
-    const auto again =
-        dse::batchCosim(piped.netlist, scenarios, "ap_done", 4096);
-    ASSERT_EQ(again.size(), lanes.size());
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-        EXPECT_EQ(again[i].doneCycle, lanes[i].doneCycle);
-        EXPECT_EQ(again[i].outputs, lanes[i].outputs);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Flow service: network nodes across tenants on the shared pool (the CI
 // job re-runs this suite with SOCGEN_SVC_WORKERS=2 so the same flows

@@ -17,10 +17,16 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <cstdlib>
+#include <deque>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -422,34 +428,256 @@ TEST(FlowRecovery, ChangedInputsResetTheJournal) {
     std::filesystem::remove_all(dir);
 }
 
-TEST(FlowRecovery, SwitchedSimBackendResetsTheJournal) {
-    // The resolved simulation backend is folded into the flow
-    // fingerprint: a journal written under the compiled engine must not
-    // be resumed under the event-driven one (sim-derived outputs could
-    // otherwise replay across backends), while HLS cores — which do not
-    // depend on how they are later simulated — still come from the store.
-    const hls::KernelLibrary kernels = exampleKernels();
-    const std::string dir = freshDir("simbackend");
-    FlowOptions options;
-    options.outputDir = dir;
-    (void)Flow(options, kernels).run("proj", quickstartGraph());  // Auto -> compiled
+// ---------------------------------------------------------------------------
+// Fingerprint property: every FlowOptions field belongs to exactly one
+// class, and perturbing that field alone must move the fingerprint (read
+// back from the journal header) and the written artifacts as its class
+// says:
+//  - Output: both change — the field can change what the flow writes;
+//  - CacheIdentity: only the fingerprint changes (toolVersion renames
+//    every artifact key without changing a byte of the project);
+//  - Neither: fault hooks and execution-only fields.
+// A field added to FlowOptions fails the static_assert below until it is
+// classified here, so it can neither silently skip the fingerprint nor
+// reset journals for nothing.
 
-    FlowOptions switched = options;
-    switched.simBackend = rtl::SimBackend::EventDriven;
-    const FlowResult rebuilt = Flow(switched, kernels).run("proj", quickstartGraph());
-    EXPECT_EQ(rebuilt.diagnostics.storeHits(), 3u);
-    EXPECT_EQ(rebuilt.diagnostics.engineRuns(), 0u);
-    EXPECT_EQ(rebuilt.diagnostics.resumedStages, 0u);
-    for (const auto& n : rebuilt.diagnostics.nodes) {
-        EXPECT_FALSE(n.resumedFromJournal) << n.node;
+/// Converts to any field type; probing `T{AnyField{}...}` counts the
+/// fields of an aggregate without naming them.
+struct AnyField {
+    template <typename T>
+    operator T() const;  // declared only: used in unevaluated probes
+};
+
+template <typename T, typename... Fields>
+constexpr std::size_t aggregateFieldCount() {
+    if constexpr (requires { T{Fields{}..., AnyField{}}; }) {
+        return aggregateFieldCount<T, Fields..., AnyField>();
+    } else {
+        return sizeof...(Fields);
+    }
+}
+
+static_assert(aggregateFieldCount<FlowOptions>() == 21,
+              "classify the new FlowOptions field in the fingerprint table");
+static_assert(aggregateFieldCount<soc::FpgaDevice>() == 7,
+              "classify the new FpgaDevice field in the fingerprint table");
+
+enum class FieldClass { Output, CacheIdentity, Neither };
+
+struct FlowSnapshot {
+    std::string fingerprint;
+    std::map<std::string, std::string> artifacts;  ///< project-relative path -> bytes
+    std::size_t resumedStages = 0;
+};
+
+/// Runs the quickstart flow into `dir` and captures the journal header's
+/// fingerprint plus every written project file. REPORT.md is left out:
+/// its generation timeline records host milliseconds, so its bytes
+/// differ between any two runs.
+FlowSnapshot snapshotFlow(const FlowOptions& options, const std::string& dir) {
+    const hls::KernelLibrary kernels = exampleKernels();
+    FlowOptions run = options;
+    run.outputDir = dir;
+    FlowSnapshot snap;
+    const FlowResult result = Flow(run, kernels).run("proj", quickstartGraph());
+    snap.resumedStages = result.diagnostics.resumedStages;
+    const FlowJournal journal = FlowJournal::open(journalPathOf(dir));
+    for (const JournalRecord& record : journal.records()) {
+        if (record.event == "header") {
+            snap.fingerprint = record.digest;
+        }
+    }
+    const std::filesystem::path root = dir + "/proj";
+    for (const auto& entry : std::filesystem::recursive_directory_iterator(root)) {
+        const std::string rel = std::filesystem::relative(entry.path(), root).string();
+        if (entry.is_regular_file() && rel != "REPORT.md") {
+            snap.artifacts[rel] = readTextFile(entry.path().string());
+        }
+    }
+    return snap;
+}
+
+/// Stage scheduler with one worker thread (the service's shared pool in
+/// miniature).
+class OneWorkerScheduler : public StageScheduler {
+public:
+    OneWorkerScheduler() : thread_([this] { loop(); }) {}
+    ~OneWorkerScheduler() override {
+        {
+            const std::lock_guard<std::mutex> lock(mutex_);
+            done_ = true;
+        }
+        cv_.notify_all();
+        thread_.join();
+    }
+    OneWorkerScheduler(const OneWorkerScheduler&) = delete;
+    OneWorkerScheduler& operator=(const OneWorkerScheduler&) = delete;
+
+    void submit(std::function<void()> task) override {
+        {
+            const std::lock_guard<std::mutex> lock(mutex_);
+            queue_.push_back(std::move(task));
+        }
+        cv_.notify_all();
     }
 
-    // The SOCGEN_SIM_BACKEND override resolves to the same fingerprint
-    // as the explicit option, so this run resumes the event journal.
+private:
+    void loop() {
+        std::unique_lock<std::mutex> lock(mutex_);
+        while (true) {
+            cv_.wait(lock, [this] { return done_ || !queue_.empty(); });
+            if (queue_.empty()) {
+                return;
+            }
+            std::function<void()> task = std::move(queue_.front());
+            queue_.pop_front();
+            lock.unlock();
+            task();
+            lock.lock();
+        }
+    }
+
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    std::deque<std::function<void()>> queue_;
+    bool done_ = false;
+    std::thread thread_;
+};
+
+/// A remote executor with no workers: every dispatch degrades to
+/// in-process synthesis.
+class NoWorkers : public RemoteHlsExecutor {
+public:
+    RemoteSynthesis synthesize(const hls::Kernel&, const hls::Directives&,
+                               const std::string&) override {
+        throw WorkerUnavailableError("no workers in this test");
+    }
+};
+
+class NullSubscriber : public FlowEventSubscriber {
+public:
+    void onEvent(const FlowEvent&) override {}
+};
+
+TEST(FlowRecovery, FingerprintCoversExactlyTheOutputInputs) {
+    struct Perturbation {
+        std::string field;
+        FieldClass cls;
+        std::function<void(FlowOptions&)> apply;
+    };
+    hls::Directives noPipelining;
+    noPipelining.pipelineLoops = false;
+    const std::string scratch = freshDir("fp_scratch");
+    std::filesystem::create_directories(scratch);
+
+    const std::vector<Perturbation> table = {
+        {"device.part", FieldClass::Output,
+         [](FlowOptions& o) { o.device.part = "xc7z045ffg900-2"; }},
+        {"device.board", FieldClass::Output,
+         [](FlowOptions& o) { o.device.board = "xilinx.com:zc706:part0:1.4"; }},
+        // Capacities show in the utilisation report's worst-resource
+        // figure, so each shrinks until its resource is the scarcest
+        // (the design needs about 4.3k LUT, 5.3k FF, 4 RAMB18, 2 DSP).
+        {"device.lut", FieldClass::Output, [](FlowOptions& o) { o.device.lut *= 2; }},
+        {"device.ff", FieldClass::Output, [](FlowOptions& o) { o.device.ff = 20000; }},
+        {"device.bram18", FieldClass::Output, [](FlowOptions& o) { o.device.bram18 = 20; }},
+        {"device.dsp", FieldClass::Output, [](FlowOptions& o) { o.device.dsp = 10; }},
+        // Above the achieved clock: the report flips to TIMING FAILED.
+        {"device.fabricClockMhz", FieldClass::Output,
+         [](FlowOptions& o) { o.device.fabricClockMhz = 200.0; }},
+        {"dmaPolicy", FieldClass::Output,
+         [](FlowOptions& o) { o.dmaPolicy = soc::DmaPolicy::DmaPerLink; }},
+        {"runSynthesis", FieldClass::Output,
+         [](FlowOptions& o) { o.runSynthesis = false; }},
+        {"generateSoftware", FieldClass::Output,
+         [](FlowOptions& o) { o.generateSoftware = false; }},
+        {"defaultDirectives", FieldClass::Output,
+         [&](FlowOptions& o) { o.defaultDirectives = noPipelining; }},
+        {"kernelDirectives", FieldClass::Output,
+         [&](FlowOptions& o) { o.kernelDirectives["GAUSS"] = noPipelining; }},
+        {"toolVersion", FieldClass::CacheIdentity,
+         [](FlowOptions& o) { o.toolVersion = "socgen-hls-2"; }},
+        // Every row already runs in its own directory.
+        {"outputDir", FieldClass::Neither, [](FlowOptions&) {}},
+        {"jobs", FieldClass::Neither, [](FlowOptions& o) { o.jobs = 4; }},
+        {"stagePolicy", FieldClass::Neither,
+         [](FlowOptions& o) {
+             o.stagePolicy.maxAttempts = 5;
+             o.stagePolicy.seed = 7;
+         }},
+        {"flowFaults", FieldClass::Neither,
+         [](FlowOptions& o) { o.flowFaults.hangStage("integrate", 1); }},
+        // A kernel of the library that the graph does not instantiate: the
+        // hook is armed but nothing fails, so nothing may change.
+        {"injectHlsFailures", FieldClass::Neither,
+         [](FlowOptions& o) { o.injectHlsFailures = {"ADD"}; }},
+        {"transientHlsFailures", FieldClass::Neither,
+         [](FlowOptions& o) { o.transientHlsFailures["MUL"] = 1; }},
+        {"hlsFailurePolicy", FieldClass::Neither,
+         [](FlowOptions& o) { o.hlsFailurePolicy = HlsFailurePolicy::Abort; }},
+        {"traceOutPath", FieldClass::Neither,
+         [&](FlowOptions& o) { o.traceOutPath = scratch + "/trace.json"; }},
+        {"toolLatencyMsPerToolSecond", FieldClass::Neither,
+         [](FlowOptions& o) { o.toolLatencyMsPerToolSecond = 0.001; }},
+        {"subscribers", FieldClass::Neither,
+         [](FlowOptions& o) {
+             o.subscribers.push_back(std::make_shared<NullSubscriber>());
+         }},
+        {"sharedStore", FieldClass::Neither,
+         [&](FlowOptions& o) {
+             o.sharedStore = std::make_shared<ArtifactStore>(scratch + "/store");
+         }},
+        {"synthGate", FieldClass::Neither,
+         [](FlowOptions& o) { o.synthGate = std::make_shared<SynthGate>(); }},
+        {"stageScheduler", FieldClass::Neither,
+         [](FlowOptions& o) { o.stageScheduler = std::make_shared<OneWorkerScheduler>(); }},
+        {"remoteHls", FieldClass::Neither,
+         [](FlowOptions& o) { o.remoteHls = std::make_shared<NoWorkers>(); }},
+    };
+    // One row per field, nested device fields counted individually.
+    EXPECT_EQ(table.size(), aggregateFieldCount<FlowOptions>() - 1 +
+                                aggregateFieldCount<soc::FpgaDevice>());
+
+    const FlowSnapshot base = snapshotFlow(FlowOptions{}, freshDir("fp_base"));
+    ASSERT_FALSE(base.fingerprint.empty());
+    ASSERT_FALSE(base.artifacts.empty());
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        const Perturbation& row = table[i];
+        SCOPED_TRACE(row.field);
+        FlowOptions options;
+        row.apply(options);
+        const std::string dir = freshDir("fp_" + std::to_string(i));
+        const FlowSnapshot snap = snapshotFlow(options, dir);
+        const bool fingerprintMoved = snap.fingerprint != base.fingerprint;
+        const bool artifactsMoved = snap.artifacts != base.artifacts;
+        EXPECT_EQ(fingerprintMoved, row.cls != FieldClass::Neither);
+        EXPECT_EQ(artifactsMoved, row.cls == FieldClass::Output);
+        std::filesystem::remove_all(dir);
+    }
+    std::filesystem::remove_all(freshDir("fp_base"));
+    std::filesystem::remove_all(scratch);
+}
+
+TEST(FlowRecovery, SimBackendOverrideResumesTheJournal) {
+    // The flow builds no RTL simulator, so SOCGEN_SIM_BACKEND must not
+    // touch its fingerprint: a run under the override resumes the
+    // journal a plain run wrote.
+    const std::string dir = freshDir("simbackend");
+    const FlowSnapshot plain = snapshotFlow(FlowOptions{}, dir);
+    std::optional<std::string> saved;
+    if (const char* value = std::getenv("SOCGEN_SIM_BACKEND")) {
+        saved = value;
+    }
     ::setenv("SOCGEN_SIM_BACKEND", "event", 1);
-    const FlowResult viaEnv = Flow(options, kernels).run("proj", quickstartGraph());
-    ::unsetenv("SOCGEN_SIM_BACKEND");
-    EXPECT_GT(viaEnv.diagnostics.resumedStages, 0u);
+    const FlowSnapshot viaEnv = snapshotFlow(FlowOptions{}, dir);
+    if (saved.has_value()) {
+        ::setenv("SOCGEN_SIM_BACKEND", saved->c_str(), 1);
+    } else {
+        ::unsetenv("SOCGEN_SIM_BACKEND");
+    }
+    EXPECT_EQ(viaEnv.fingerprint, plain.fingerprint);
+    EXPECT_GT(viaEnv.resumedStages, 0u);
+    EXPECT_EQ(viaEnv.artifacts, plain.artifacts);
     std::filesystem::remove_all(dir);
 }
 

@@ -1,8 +1,8 @@
 // The generated-C++ backend's own suite: emitter determinism and key
 // stability, the cold/warm shared-object cache pipeline, quarantine of
-// a corrupted cached object, and the graceful degradation chain
-// (Codegen → Compiled → EventDriven) with its structured fallback
-// events. Lockstep value parity against the other two backends lives in
+// a corrupted cached object, and the graceful degradation hop
+// (Codegen → Compiled) with its structured fallback event. Lockstep
+// value parity against the other two backends lives in
 // test_rtl_diff_sim.cpp. ctest label: diff-sim.
 
 #include "socgen/common/blob_store.hpp"
@@ -13,7 +13,6 @@
 #include "socgen/rtl/compiled_program.hpp"
 #include "socgen/rtl/primitives.hpp"
 #include "socgen/rtl/sim_backend.hpp"
-#include "socgen/rtl/sim_batch.hpp"
 
 #include <gtest/gtest.h>
 
@@ -188,6 +187,25 @@ TEST(CodegenCache, ColdThenRegistryThenStore) {
     EXPECT_EQ(sim.cycleCount(), 0u);
     sim.evaluate();
     EXPECT_EQ(sim.output("acc"), 0u);
+
+    // Simulators sharing one loaded module keep independent state: each
+    // instance owns its value array, only the code is shared.
+    CodegenSim other(netlist);
+    EXPECT_EQ(codegenStats().compiles, 0u);
+    for (unsigned cycle = 0; cycle < 4; ++cycle) {
+        sim.setInput("a", 2);
+        sim.setInput("b", cycle);
+        sim.setInput("en", 1);
+        other.setInput("a", 7);
+        other.setInput("b", 1);
+        other.setInput("en", cycle % 2);
+        sim.step();
+        other.step();
+    }
+    sim.evaluate();
+    other.evaluate();
+    EXPECT_EQ(sim.output("acc"), 2u * (0 + 1 + 2 + 3));
+    EXPECT_EQ(other.output("acc"), 7u * 2);
 }
 
 TEST(CodegenCache, CorruptedSharedObjectIsQuarantinedAndRebuilt) {
@@ -246,22 +264,6 @@ TEST(CodegenFallback, NoCompilerDegradesToCompiledWithEvent) {
     EXPECT_EQ(makeSimulator(netlist)->backendName(), "compiled");
 }
 
-TEST(CodegenFallback, UnsupportedConstructSkipsToEventDriven) {
-    // A construct neither compiled path can lower jumps straight to the
-    // interpreter; the Compiled middle hop would only fail the same way.
-    const FreshCache cache("deny");
-    const EnvGuard denyGuard("SOCGEN_COMPILED_SIM_DENY");
-    ::setenv("SOCGEN_COMPILED_SIM_DENY", "REG", 1);
-    const Netlist netlist = makeCounter("ctr", 8);
-
-    FallbackCapture capture;
-    const auto sim = makeSimulator(netlist, SimBackend::Codegen);
-    EXPECT_EQ(sim->backendName(), "event");
-    ASSERT_EQ(capture.events().size(), 1u);
-    EXPECT_EQ(capture.events().front().requested, SimBackend::Codegen);
-    EXPECT_EQ(capture.events().front().chosen, SimBackend::EventDriven);
-}
-
 TEST(CodegenFallback, CompileErrorSurfacesCompilerDiagnostics) {
     if (!toolchainHere()) {
         GTEST_SKIP() << "no host compiler";
@@ -279,43 +281,6 @@ TEST(CodegenFallback, CompileErrorSurfacesCompilerDiagnostics) {
         EXPECT_FALSE(e.compilerOutput().empty());
         EXPECT_NE(std::string(e.what()).find("error"), std::string::npos) << e.what();
         EXPECT_NE(std::string(e.what()).find("broken.cpp"), std::string::npos);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Batched lanes over the codegen backend share one compile.
-
-TEST(CodegenBatch, LanesShareOneModuleAndMatchScalar) {
-    if (!toolchainHere()) {
-        GTEST_SKIP() << "no host compiler";
-    }
-    const FreshCache cache("batch");
-    const Netlist netlist = makeMac("mac", 16);
-
-    SimConfig config;
-    config.backend = SimBackend::Codegen;
-    config.batchLanes = 4;
-    const auto batch = makeSimBatch(netlist, config);
-    EXPECT_EQ(codegenStats().compiles, 1u);  // four lanes, one compile
-
-    CodegenSim scalar(netlist);
-    for (unsigned cycle = 0; cycle < 16; ++cycle) {
-        for (unsigned lane = 0; lane < batch->laneCount(); ++lane) {
-            batch->setInput("a", lane, 3);
-            batch->setInput("b", lane, cycle);
-            batch->setInput("en", lane, 1);
-        }
-        scalar.setInput("a", 3);
-        scalar.setInput("b", cycle);
-        scalar.setInput("en", 1);
-        batch->step();
-        batch->evaluate();
-        scalar.step();
-        scalar.evaluate();
-        for (unsigned lane = 0; lane < batch->laneCount(); ++lane) {
-            ASSERT_EQ(batch->output("acc", lane), scalar.output("acc"))
-                << "lane " << lane << " cycle " << cycle;
-        }
     }
 }
 

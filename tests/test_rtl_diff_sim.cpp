@@ -60,8 +60,8 @@ std::unique_ptr<Simulator> makeCodegenStrict(const Netlist& netlist) {
 /// event-driven reference, and at the end that every BRAM holds
 /// identical contents and all engines counted the same cycles. A
 /// SimulationError (e.g. BRAM address overflow from random stimulus)
-/// must be raised by every backend on the same cycle to count as
-/// agreement.
+/// must be raised by every backend on the same cycle, with the same
+/// message, to count as agreement.
 void expectLockstep(const Netlist& netlist,
                     const std::vector<Stimulus>& stimulus) {
     std::vector<std::unique_ptr<Simulator>> sims;
@@ -85,14 +85,16 @@ void expectLockstep(const Netlist& netlist,
 
     for (std::size_t cycle = 0; cycle < stimulus.size(); ++cycle) {
         std::vector<bool> threw(sims.size(), false);
+        std::vector<std::string> message(sims.size());
         for (std::size_t s = 0; s < sims.size(); ++s) {
             for (const auto& [port, value] : stimulus[cycle]) {
                 sims[s]->setInput(port, value);
             }
             try {
                 sims[s]->step();
-            } catch (const SimulationError&) {
+            } catch (const SimulationError& e) {
                 threw[s] = true;
+                message[s] = e.what();
             }
         }
         for (std::size_t s = 1; s < sims.size(); ++s) {
@@ -100,6 +102,9 @@ void expectLockstep(const Netlist& netlist,
                 << netlist.name() << ": backends " << reference.backendName() << " and "
                 << sims[s]->backendName() << " disagreed about throwing on cycle "
                 << cycle;
+            ASSERT_EQ(message[0], message[s])
+                << netlist.name() << ": " << sims[s]->backendName()
+                << " threw a different message on cycle " << cycle;
         }
         if (threw[0]) {
             return;  // parity on the error path is all we require
@@ -186,6 +191,44 @@ TEST(PrimitiveDiff, BramOutOfRangeThrowsOnBothBackends) {
     const NetId we = b.inputPort("we", 1);
     b.outputPort("rdata", b.bram(addr, wdata, we, 16, 4));
     expectLockstep(b.netlist(), {{{"addr", 9}, {"we", 1}, {"wdata", 1}}});
+}
+
+TEST(PrimitiveDiff, ResetAfterBramFaultResumesIdentically) {
+    // A faulted simulator is not poisoned: reset() clears the sequential
+    // state and the next in-range write lands identically everywhere.
+    NetlistBuilder b("mem");
+    const NetId addr = b.inputPort("addr", 8);
+    const NetId wdata = b.inputPort("wdata", 16);
+    const NetId we = b.inputPort("we", 1);
+    b.outputPort("rdata", b.bram(addr, wdata, we, 16, 4));
+    const Netlist& netlist = b.netlist();
+    CellId bram = kInvalid;
+    for (CellId id = 0; id < netlist.cells().size(); ++id) {
+        if (netlist.cell(id).kind == CellKind::Bram) {
+            bram = id;
+        }
+    }
+    ASSERT_NE(bram, kInvalid);
+    std::vector<std::unique_ptr<Simulator>> sims;
+    sims.push_back(std::make_unique<NetlistSimulator>(netlist));
+    sims.push_back(std::make_unique<CompiledSim>(netlist));
+    if (codegenUsable()) {
+        sims.push_back(makeCodegenStrict(netlist));
+    }
+    for (auto& sim : sims) {
+        SCOPED_TRACE(std::string(sim->backendName()));
+        sim->setInput("addr", 200);
+        sim->setInput("we", 1);
+        sim->setInput("wdata", 7);
+        EXPECT_THROW(sim->step(), SimulationError);
+        sim->reset();
+        sim->setInput("addr", 2);
+        sim->step();
+        sim->evaluate();
+        EXPECT_EQ(sim->cycleCount(), 1u);
+        EXPECT_EQ(sim->memoryContents(bram), (std::vector<std::uint64_t>{0, 0, 7, 0}));
+        EXPECT_EQ(sim->output("rdata"), 7u);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -277,7 +320,7 @@ TEST(TraceDiff, CounterVcdIsByteIdenticalAcrossBackends) {
 }
 
 // ---------------------------------------------------------------------------
-// Backend selection and the Auto-fallback rule.
+// Backend selection: Auto is the SOCGEN_SIM_BACKEND override or Compiled.
 
 /// Saves an environment variable and restores it on scope exit, so the
 /// selection tests behave the same under the CI diff-sim job (which runs
@@ -325,54 +368,39 @@ TEST(BackendSelect, ExplicitBackendsReportThemselves) {
     }
 }
 
-TEST(BackendSelect, CodegenResolvesThroughEnvAndFingerprint) {
-    // SOCGEN_SIM_BACKEND=codegen must flow through resolveSimBackend —
-    // the function flow fingerprints fold in — whether or not a host
-    // compiler exists; only construction degrades, never the request.
+TEST(BackendSelect, CodegenResolvesThroughEnv) {
+    // SOCGEN_SIM_BACKEND=codegen is honoured as a request whether or not
+    // a host compiler exists; only construction degrades, never the
+    // request. An explicit backend beats the override.
     const EnvGuard guard("SOCGEN_SIM_BACKEND");
     ::setenv("SOCGEN_SIM_BACKEND", "codegen", 1);
-    EXPECT_EQ(resolveSimBackend(), SimBackend::Codegen);
-    EXPECT_EQ(resolveSimBackend(SimBackend::Compiled), SimBackend::Compiled);
+    EXPECT_EQ(simBackendFromEnv(), SimBackend::Codegen);
+    EXPECT_EQ(simBackendFromEnv(SimBackend::Compiled), SimBackend::Codegen);
+    const Netlist netlist = makeCounter("ctr", 8);
+    EXPECT_EQ(makeSimulator(netlist, SimBackend::Compiled)->backendName(), "compiled");
 }
 
 TEST(BackendSelect, EnvOverridesAuto) {
     const EnvGuard guard("SOCGEN_SIM_BACKEND");
     const Netlist netlist = makeCounter("ctr", 8);
-    EXPECT_EQ(makeSimulator(netlist)->backendName(), "compiled");  // Auto default
-    EXPECT_EQ(resolveSimBackend(), SimBackend::Compiled);
+    EXPECT_EQ(makeSimulator(netlist)->backendName(), "compiled");  // Auto = Compiled
+    EXPECT_EQ(simBackendFromEnv(), SimBackend::Auto);
     ::setenv("SOCGEN_SIM_BACKEND", "event", 1);
     EXPECT_EQ(makeSimulator(netlist)->backendName(), "event");
-    EXPECT_EQ(resolveSimBackend(), SimBackend::EventDriven);
+    EXPECT_EQ(simBackendFromEnv(), SimBackend::EventDriven);
     ::setenv("SOCGEN_SIM_BACKEND", "compiled", 1);
     EXPECT_EQ(makeSimulator(netlist)->backendName(), "compiled");
     // An explicit backend beats the env override.
-    EXPECT_EQ(resolveSimBackend(SimBackend::EventDriven), SimBackend::EventDriven);
+    EXPECT_EQ(makeSimulator(netlist, SimBackend::EventDriven)->backendName(), "event");
     // A malformed override fails loudly, naming the variable.
     ::setenv("SOCGEN_SIM_BACKEND", "verilator", 1);
     try {
-        (void)resolveSimBackend();
+        (void)makeSimulator(netlist);
         FAIL() << "accepted SOCGEN_SIM_BACKEND=verilator";
     } catch (const Error& e) {
         EXPECT_NE(std::string(e.what()).find("SOCGEN_SIM_BACKEND"), std::string::npos)
             << e.what();
     }
-}
-
-TEST(BackendSelect, AutoFallsBackWhenCompilerDeclinesAConstruct) {
-    // The deny hook stands in for a future construct the compiler does
-    // not cover: Auto must fall back to the event-driven engine for
-    // affected netlists and keep compiling everything else.
-    const EnvGuard backendGuard("SOCGEN_SIM_BACKEND");
-    const EnvGuard denyGuard("SOCGEN_COMPILED_SIM_DENY");
-    const Netlist counter = makeCounter("ctr", 8);  // contains Reg cells
-    const Netlist adder = makeAdder("add", 8);      // purely combinational
-    ::setenv("SOCGEN_COMPILED_SIM_DENY", "REG", 1);
-    EXPECT_EQ(makeSimulator(counter)->backendName(), "event");
-    EXPECT_EQ(makeSimulator(adder)->backendName(), "compiled");
-    EXPECT_THROW((void)makeSimulator(counter, SimBackend::Compiled),
-                 UnsupportedNetlistError);
-    ::unsetenv("SOCGEN_COMPILED_SIM_DENY");
-    EXPECT_EQ(makeSimulator(counter)->backendName(), "compiled");
 }
 
 TEST(EngineHosting, RtlCoreRunsIdenticallyUnderBothBackends) {
@@ -422,123 +450,6 @@ TEST(CompiledIntrospection, DirtySkippingGoesQuiescent) {
     EXPECT_EQ(sim.opsEvaluated(), settled);  // quiescent subgraph skipped
     EXPECT_GT(sim.levelCount(), 1u);
     EXPECT_EQ(sim.opCount(), netlist.topoOrder().size());
-}
-
-// ---------------------------------------------------------------------------
-// Partitioned evaluation: any thread count must be byte-identical to the
-// serial sweep — same VCD bytes, same opsEvaluated(), same final BRAMs.
-
-TEST(ThreadSelect, EnvOverrideAndClamping) {
-    const EnvGuard guard("SOCGEN_SIM_THREADS");
-    EXPECT_EQ(resolveSimThreads(), 1u);           // unset -> serial
-    EXPECT_EQ(resolveSimThreads(4), 4u);          // explicit request
-    EXPECT_EQ(resolveSimThreads(1000), kMaxSimThreads);
-    ::setenv("SOCGEN_SIM_THREADS", "3", 1);
-    EXPECT_EQ(resolveSimThreads(), 3u);           // Auto -> env
-    EXPECT_EQ(resolveSimThreads(8), 8u);          // explicit beats env
-    // A malformed override fails loudly, naming the variable — a typo in
-    // a CI matrix must not silently run the sweep serial.
-    for (const char* bad : {"garbage", "4x", "0", "-2", ""}) {
-        ::setenv("SOCGEN_SIM_THREADS", bad, 1);
-        if (*bad == '\0') {
-            EXPECT_EQ(resolveSimThreads(), 1u);  // empty means unset
-            continue;
-        }
-        try {
-            (void)resolveSimThreads();
-            FAIL() << "accepted SOCGEN_SIM_THREADS='" << bad << "'";
-        } catch (const Error& e) {
-            EXPECT_NE(std::string(e.what()).find("SOCGEN_SIM_THREADS"),
-                      std::string::npos)
-                << e.what();
-        }
-    }
-    ::setenv("SOCGEN_SIM_THREADS", "2", 1);
-    const Netlist netlist = makeCounter("ctr", 8);
-    const CompiledSim sim(netlist);               // default config consults the env
-    EXPECT_EQ(sim.threadCount(), 2u);
-}
-
-/// Runs `netlist` under `config` and returns (VCD bytes, opsEvaluated,
-/// every BRAM's final contents) for comparison across thread counts.
-struct ThreadRunResult {
-    std::string vcd;
-    std::uint64_t opsEvaluated = 0;
-    std::vector<std::vector<std::uint64_t>> brams;
-};
-
-ThreadRunResult runWithConfig(const Netlist& netlist,
-                              const std::vector<Stimulus>& stimulus,
-                              const SimConfig& config) {
-    CompiledSim sim(netlist, config);
-    VcdTrace trace(netlist, sim);
-    for (const Stimulus& cycle : stimulus) {
-        for (const auto& [port, value] : cycle) {
-            sim.setInput(port, value);
-        }
-        sim.step();
-        sim.evaluate();
-        trace.sample();
-    }
-    ThreadRunResult out;
-    out.vcd = trace.render();
-    out.opsEvaluated = sim.opsEvaluated();
-    for (CellId id = 0; id < netlist.cells().size(); ++id) {
-        if (netlist.cell(id).kind == CellKind::Bram) {
-            out.brams.push_back(sim.memoryContents(id));
-        }
-    }
-    return out;
-}
-
-class ThreadParity : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(ThreadParity, PartitionedRunIsByteIdenticalToSerial) {
-    const EnvGuard guard("SOCGEN_SIM_THREADS");
-    const unsigned threads = GetParam();
-    for (const std::uint64_t seed : {7919ULL, 23757ULL, 39595ULL, 424242ULL}) {
-        SCOPED_TRACE("seed " + std::to_string(seed));
-        testing::NetlistGenOptions opt = testing::sweepOptions(seed);
-        if (seed == 424242ULL) {
-            opt.combCells = 600;  // big enough for multi-chunk bands
-            opt.regs = 48;
-            opt.chainDepth = 120;
-        }
-        const Netlist netlist = testing::randomNetlist(seed, opt);
-        const auto stimulus = randomStimulus(netlist, seed, 120);
-
-        SimConfig serial;
-        serial.backend = SimBackend::Compiled;
-        serial.threads = 1;
-        const ThreadRunResult reference = runWithConfig(netlist, stimulus, serial);
-
-        SimConfig parallel = serial;
-        parallel.threads = threads;
-        // Grain 1 forces the worker-pool path on every non-empty band, so
-        // parity covers the partitioned code even for tiny bands.
-        parallel.parallelGrainOps = 1;
-        const ThreadRunResult run = runWithConfig(netlist, stimulus, parallel);
-
-        EXPECT_EQ(run.vcd, reference.vcd) << "VCD bytes diverged at " << threads
-                                          << " threads";
-        EXPECT_EQ(run.opsEvaluated, reference.opsEvaluated)
-            << "dirty-skipping work diverged at " << threads << " threads";
-        EXPECT_EQ(run.brams, reference.brams);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, ThreadParity, ::testing::Values(1u, 2u, 4u, 8u));
-
-TEST(ThreadParity, ReportedThreadCountMatchesConfig) {
-    const Netlist netlist = makeCounter("ctr", 8);
-    SimConfig config;
-    config.backend = SimBackend::Compiled;
-    config.threads = 4;
-    CompiledSim sim(netlist, config);
-    EXPECT_EQ(sim.threadCount(), 4u);
-    // The config-taking factory resolves the same way.
-    const auto viaFactory = makeSimulator(netlist, config);
-    EXPECT_EQ(viaFactory->backendName(), "compiled");
 }
 
 } // namespace

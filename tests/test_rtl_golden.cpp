@@ -11,8 +11,6 @@
 #include "socgen/rtl/codegen_emit.hpp"
 #include "socgen/rtl/compiled_program.hpp"
 #include "socgen/rtl/primitives.hpp"
-#include "socgen/rtl/sim_batch.hpp"
-#include "socgen/rtl/vcd.hpp"
 #include "socgen/rtl/verilog.hpp"
 #include "socgen/rtl/vhdl.hpp"
 
@@ -20,9 +18,7 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
-#include <vector>
 
 namespace socgen::rtl {
 namespace {
@@ -90,42 +86,6 @@ TEST(Golden, DataflowWrapper) {
     const hls::HlsResult r =
         hls::HlsEngine{}.synthesize(apps::makeStreamPipelineNetwork(8));
     expectGolden("dataflow_tri", r.netlist);
-}
-
-// Per-lane VCD extraction from a batched run: a 4-lane MAC batch with a
-// distinct deterministic stimulus per lane, traced through SimBatchLane.
-// The snapshots pin both the extraction path (a lane view is a faithful
-// Simulator for the tracer) and the batch engine's per-lane semantics —
-// lane 3 gates its accumulator with `en`, so its trace must diverge from
-// the always-enabled lanes in exactly the committed way.
-TEST(Golden, BatchMacLaneTraces) {
-    const Netlist netlist = makeMac("mac", 16);
-    const auto batch = makeSimBatch(netlist, 4, SimBackend::Compiled);
-
-    std::vector<std::unique_ptr<SimBatchLane>> lanes;
-    std::vector<std::unique_ptr<VcdTrace>> traces;
-    for (unsigned lane = 0; lane < batch->laneCount(); ++lane) {
-        lanes.push_back(std::make_unique<SimBatchLane>(*batch, lane));
-        traces.push_back(std::make_unique<VcdTrace>(netlist, *lanes.back()));
-    }
-
-    for (unsigned cycle = 0; cycle < 8; ++cycle) {
-        for (unsigned lane = 0; lane < batch->laneCount(); ++lane) {
-            batch->setInput("a", lane, (lane + 1) * 3);
-            batch->setInput("b", lane, cycle + lane);
-            batch->setInput("en", lane, lane == 3 ? cycle % 2 : 1);
-        }
-        batch->step();
-        batch->evaluate();
-        for (auto& trace : traces) {
-            trace->sample();
-        }
-    }
-
-    for (unsigned lane = 0; lane < batch->laneCount(); ++lane) {
-        expectMatchesGolden("batch_mac16_lane" + std::to_string(lane), ".vcd",
-                            traces[lane]->render());
-    }
 }
 
 } // namespace

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 namespace socgen::rtl {
 namespace {
 
@@ -66,12 +69,19 @@ TEST(NetlistSim, MacAccumulates) {
     EXPECT_EQ(sim.output("acc"), 0u);
 }
 
+// gtest names each case after the raw bytes of its parameter, so the
+// struct carries an explicit zero word where alignment padding would sit:
+// padding bytes are indeterminate and made the names change between builds.
 struct BinCase {
+    BinCase(CellKind k, std::uint64_t x, std::uint64_t y, std::uint64_t want)
+        : kind(k), a(x), b(y), expected(want) {}
     CellKind kind;
+    std::uint32_t zero = 0;
     std::uint64_t a;
     std::uint64_t b;
     std::uint64_t expected;
 };
+static_assert(std::has_unique_object_representations_v<BinCase>);
 
 class BinaryCellSim : public testing::TestWithParam<BinCase> {};
 
