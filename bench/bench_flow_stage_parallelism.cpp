@@ -110,7 +110,7 @@ RunStats runOnce(const hls::KernelLibrary& kernels, unsigned jobs, bool synthesi
     stats.hostMs = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - start)
                        .count();
-    stats.toolSeconds = result.timeline.totalToolSeconds();
+    stats.toolSeconds = result.diagnostics.stageToolSeconds();
     stats.stages = result.diagnostics.stages.size();
     return stats;
 }

@@ -34,8 +34,10 @@ RunStats runOnce(benchsupport::CaseStudy& cs, const std::string& outputDir,
     const core::FlowResult result = flow.run(
         "Arch4", core::lowerToTaskGraph(cs.htg, apps::otsuArchPartition(4)));
     RunStats stats;
-    stats.toolSeconds = result.timeline.totalToolSeconds();
-    stats.hostMs = result.timeline.totalHostMs();
+    stats.toolSeconds = result.diagnostics.stageToolSeconds();
+    for (const auto& stage : result.diagnostics.stages) {
+        stats.hostMs += stage.hostMs;
+    }
     stats.engineRuns = result.diagnostics.engineRuns();
     stats.storeHits = result.diagnostics.storeHits();
     return stats;

@@ -10,7 +10,6 @@
 
 #include "socgen/apps/kernels.hpp"
 #include "socgen/apps/otsu_project.hpp"
-#include "socgen/core/report.hpp"
 #include "socgen/socgen.hpp"
 
 #include <cstdio>
@@ -124,16 +123,16 @@ int main(int argc, char** argv) {
         const hls::KernelLibrary kernels = builtinKernels(kernelsName, size);
         const core::FlowResult result = core::runDslFile(dslPath, kernels, options);
 
-        const std::string report = core::renderFlowReport(result);
-        writeTextFile(outDir + "/" + result.projectName + "/REPORT.md", report);
         if (printReport) {
+            const std::string report =
+                readTextFile(outDir + "/" + result.projectName + "/REPORT.md");
             std::printf("%s", report.c_str());
         } else {
             std::printf("project %s: %zu cores, %s, %.1f simulated tool-seconds\n",
                         result.projectName.c_str(), result.hlsResults.size(),
                         options.runSynthesis ? result.synthesis.total.str().c_str()
                                              : "synthesis skipped",
-                        result.timeline.totalToolSeconds());
+                        result.diagnostics.stageToolSeconds());
             std::printf("artifacts written to %s/%s/\n", outDir.c_str(),
                         result.projectName.c_str());
         }

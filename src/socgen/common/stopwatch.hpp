@@ -1,9 +1,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
-#include <string>
-#include <vector>
 
 namespace socgen {
 
@@ -21,36 +18,6 @@ public:
 private:
     using clock = std::chrono::steady_clock;
     clock::time_point start_;
-};
-
-/// One timed phase of the flow (Figure 9 of the paper reports a per-phase
-/// breakdown: Scala compilation, per-core HLS, architecture generation).
-/// We record both real host milliseconds and deterministic simulated
-/// tool-seconds charged by the substituted tool models, so the Fig. 9
-/// series is reproducible run to run.
-struct PhaseTiming {
-    std::string name;          ///< e.g. "SCALA", "HLS histogram", "ARCH Arch1"
-    double hostMs = 0.0;       ///< measured wall time of our implementation
-    double toolSeconds = 0.0;  ///< deterministic simulated vendor-tool time
-};
-
-/// Accumulates phase timings during a flow run.
-class PhaseTimeline {
-public:
-    void add(std::string name, double hostMs, double toolSeconds);
-
-    [[nodiscard]] const std::vector<PhaseTiming>& phases() const { return phases_; }
-    [[nodiscard]] double totalHostMs() const;
-    [[nodiscard]] double totalToolSeconds() const;
-
-    /// Sums toolSeconds over phases whose name starts with `prefix`.
-    [[nodiscard]] double toolSecondsFor(const std::string& prefix) const;
-
-    void append(const PhaseTimeline& other);
-    void clear() { phases_.clear(); }
-
-private:
-    std::vector<PhaseTiming> phases_;
 };
 
 } // namespace socgen

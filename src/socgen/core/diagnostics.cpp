@@ -3,6 +3,15 @@
 #include "socgen/common/strings.hpp"
 
 namespace socgen::core {
+namespace {
+
+const char* sourceOf(const FlowDiagnostics::HlsOutcome& o) {
+    return o.cacheHit   ? "cache hit"
+           : o.storeHit ? (o.resumedFromJournal ? "store hit (journaled)" : "store hit")
+                        : "synthesized";
+}
+
+} // namespace
 
 bool FlowDiagnostics::anyDegraded() const {
     for (const auto& n : nodes) {
@@ -53,14 +62,14 @@ std::size_t FlowDiagnostics::storeHits() const {
     return count;
 }
 
-std::size_t FlowDiagnostics::inFlightDedupes() const {
-    std::size_t count = 0;
-    for (const auto& n : nodes) {
-        if (n.dedupedInFlight) {
-            ++count;
+double FlowDiagnostics::stageToolSeconds(std::string_view prefix) const {
+    double total = 0.0;
+    for (const auto& s : stages) {
+        if (s.stage.starts_with(prefix)) {
+            total += s.toolSeconds;
         }
     }
-    return count;
+    return total;
 }
 
 std::size_t FlowDiagnostics::processEngineRuns() const {
@@ -118,12 +127,8 @@ std::string FlowDiagnostics::render(bool withHostTimes) const {
             out += format("\n  %s: DEGRADED to software fallback after %u attempt(s) — %s",
                           n.node.c_str(), n.attempts, n.error.c_str());
         } else {
-            const char* source = n.cacheHit    ? "cache hit"
-                                 : n.storeHit  ? (n.resumedFromJournal ? "store hit (journaled)"
-                                                                       : "store hit")
-                                               : "synthesized";
             out += format("\n  %s: ok (%.1f tool-s, %s, %u attempt(s))", n.node.c_str(),
-                          n.toolSeconds, source, n.attempts);
+                          n.toolSeconds, sourceOf(n), n.attempts);
         }
         for (const auto& p : n.processes) {
             if (p.degraded) {
@@ -132,13 +137,8 @@ std::string FlowDiagnostics::render(bool withHostTimes) const {
                               p.error.c_str());
                 continue;
             }
-            const char* psource = p.cacheHit   ? "cache hit"
-                                  : p.storeHit ? (p.resumedFromJournal
-                                                      ? "store hit (journaled)"
-                                                      : "store hit")
-                                               : "synthesized";
             out += format("\n    %s/%s: ok (%.1f tool-s, %s, %u attempt(s))",
-                          n.node.c_str(), p.process.c_str(), p.toolSeconds, psource,
+                          n.node.c_str(), p.process.c_str(), p.toolSeconds, sourceOf(p),
                           p.attempts);
         }
     }

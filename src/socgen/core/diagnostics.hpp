@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace socgen::core {
@@ -14,43 +15,36 @@ namespace socgen::core {
 /// row per executed stage, in deterministic topological order), sourced
 /// from the FlowEventBus rather than scattered counters.
 struct FlowDiagnostics {
-    /// Per-process outcome of a multi-process network node: each process
-    /// is synthesized (and cached) under its own artifact key, so each
-    /// gets its own attempt/hit record. Trivial one-process networks keep
-    /// the legacy shape — the node-level fields carry the story and
-    /// `processes` stays empty.
-    struct ProcessOutcome {
-        std::string process;       ///< process name within the node
-        bool degraded = false;
-        std::string error;
-        double toolSeconds = 0.0;
-        unsigned attempts = 0;
-        bool cacheHit = false;
-        bool storeHit = false;
-        bool resumedFromJournal = false;
-        bool dedupedInFlight = false;
-        bool remoteWorker = false;
-        std::string artifactKey;
-    };
-
-    struct NodeOutcome {
-        std::string node;
-        bool degraded = false;  ///< HLS failed; node needs software fallback
-        std::string error;      ///< failure text when degraded
-        double toolSeconds = 0.0;
+    /// What one HLS synthesis produced and where its result came from:
+    /// the common record of a single-kernel node and of one process of a
+    /// network node.
+    struct HlsOutcome {
+        bool degraded = false;     ///< HLS failed; needs software fallback
+        std::string error;         ///< failure text when degraded
+        double toolSeconds = 0.0;  ///< simulated tool time charged this run
         unsigned attempts = 0;     ///< HLS engine attempts this run (0 = reused)
         bool cacheHit = false;     ///< served from the in-memory HlsCache
         bool storeHit = false;     ///< served from the persistent ArtifactStore
         bool resumedFromJournal = false;  ///< store hit confirmed by a prior
                                           ///< run's journal commit record
-        bool dedupedInFlight = false;  ///< waited on another flow synthesizing
-                                       ///< the same key (SynthGate), then reused
         bool remoteWorker = false;  ///< synthesized by an out-of-process worker
         std::uint64_t leaseEpoch = 0;  ///< lease epoch of the remote dispatch
         std::string artifactKey;   ///< content key (empty if key not derived)
+    };
+
+    /// Per-process outcome of a multi-process network node: each process
+    /// is synthesized (and cached) under its own artifact key, so each
+    /// gets its own attempt/hit record.
+    struct ProcessOutcome : HlsOutcome {
+        std::string process;       ///< process name within the node
+    };
+
+    struct NodeOutcome : HlsOutcome {
+        std::string node;
         /// Per-process records for a multi-process network node; empty
-        /// for a trivial (single-kernel) node. Node-level hit flags are
-        /// the conjunction over processes, attempts the sum.
+        /// for a trivial (single-kernel) node, whose own fields carry the
+        /// story. Node-level hit flags are the conjunction over
+        /// processes, attempts the sum.
         std::vector<ProcessOutcome> processes;
     };
 
@@ -68,7 +62,7 @@ struct FlowDiagnostics {
     };
 
     std::vector<NodeOutcome> nodes;
-    std::vector<StageOutcome> stages;  ///< per-stage table, topological order
+    std::vector<StageOutcome> stages;  ///< the one stage record, topological order
 
     std::size_t stageRetries = 0;      ///< extra attempts across all stages
     std::size_t stageTimeouts = 0;     ///< deadline expiries across all stages
@@ -84,9 +78,10 @@ struct FlowDiagnostics {
     [[nodiscard]] std::size_t engineRuns() const;
     [[nodiscard]] std::size_t cacheHits() const;
     [[nodiscard]] std::size_t storeHits() const;
-    /// Nodes that reused a result after waiting on another flow's
-    /// in-flight synthesis of the same key.
-    [[nodiscard]] std::size_t inFlightDedupes() const;
+    /// Simulated tool-seconds summed over the stage rows whose name
+    /// starts with `prefix` ("hls:" for every HLS stage); the whole run
+    /// when empty. Figure 9 groups stages this way.
+    [[nodiscard]] double stageToolSeconds(std::string_view prefix = {}) const;
 
     /// Process-granular counters. A trivial node (no per-process records)
     /// counts as one process so the totals stay comparable whether a node

@@ -90,6 +90,7 @@ void StageTableSubscriber::onEvent(const FlowEvent& event) {
     if (event.stage.empty()) {
         return;
     }
+    const std::lock_guard<std::mutex> lock(mutex_);
     FlowDiagnostics::StageOutcome& row = rows_[event.stage];
     row.stage = event.stage;
     switch (event.kind) {
@@ -117,20 +118,12 @@ void StageTableSubscriber::onEvent(const FlowEvent& event) {
         break;
     case FlowEventKind::CacheHit:
         row.source = "cache hit";
-        ++cacheHits_;
         break;
     case FlowEventKind::StoreHit:
         row.source = "store hit";
-        ++storeHits_;
         break;
     case FlowEventKind::ArtifactRejected:
         ++rejections_;
-        break;
-    case FlowEventKind::ArtifactQuarantined:
-        ++quarantines_;
-        break;
-    case FlowEventKind::RemoteSynthesis:
-        ++remoteSyntheses_;
         break;
     default:
         break;
@@ -139,6 +132,7 @@ void StageTableSubscriber::onEvent(const FlowEvent& event) {
 
 std::vector<FlowDiagnostics::StageOutcome> StageTableSubscriber::orderedRows(
     const std::vector<std::string>& stageOrder) const {
+    const std::lock_guard<std::mutex> lock(mutex_);
     std::vector<FlowDiagnostics::StageOutcome> ordered;
     ordered.reserve(stageOrder.size());
     for (const std::string& stage : stageOrder) {

@@ -90,7 +90,9 @@ public:
 /// Bundled subscriber: accumulates the per-stage wall-clock table
 /// (FlowDiagnostics::StageOutcome) keyed by stage name. Event arrival
 /// order is scheduling-dependent; orderedRows() re-imposes the caller's
-/// deterministic stage order so the table is jobs-invariant.
+/// deterministic stage order so the table is jobs-invariant. Unlike
+/// delivery, orderedRows() may be called from a stage body mid-run, so
+/// the table guards itself.
 class StageTableSubscriber : public FlowEventSubscriber {
 public:
     void onEvent(const FlowEvent& event) override;
@@ -99,19 +101,12 @@ public:
     [[nodiscard]] std::vector<FlowDiagnostics::StageOutcome> orderedRows(
         const std::vector<std::string>& stageOrder) const;
 
-    [[nodiscard]] std::size_t cacheHits() const { return cacheHits_; }
-    [[nodiscard]] std::size_t storeHits() const { return storeHits_; }
     [[nodiscard]] std::size_t artifactRejections() const { return rejections_; }
-    [[nodiscard]] std::size_t artifactQuarantines() const { return quarantines_; }
-    [[nodiscard]] std::size_t remoteSyntheses() const { return remoteSyntheses_; }
 
 private:
+    mutable std::mutex mutex_;
     std::map<std::string, FlowDiagnostics::StageOutcome> rows_;
-    std::size_t cacheHits_ = 0;
-    std::size_t storeHits_ = 0;
     std::size_t rejections_ = 0;
-    std::size_t quarantines_ = 0;
-    std::size_t remoteSyntheses_ = 0;
 };
 
 /// Bundled subscriber: records one complete ("ph":"X") span per stage and

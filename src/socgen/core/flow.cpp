@@ -234,7 +234,7 @@ Flow::HlsAttemptOut Flow::hlsKernelAttempt(const hls::Kernel& kernel,
                                            const std::string& stageName,
                                            const std::string& nodeName) {
     HlsAttemptOut out;
-    out.key =
+    out.artifactKey =
         ArtifactStore::deriveKey(kernel, directives, options_.device, options_.toolVersion);
 
     // Reuse order: in-memory cache (same process), then the persistent
@@ -242,7 +242,7 @@ Flow::HlsAttemptOut Flow::hlsKernelAttempt(const hls::Kernel& kernel,
     // validation is reported and rebuilt — never silently loaded.
     const auto tryReuse = [this, &label, &stageName, &out]() -> bool {
         if (cache_ != nullptr) {
-            if (std::optional<hls::HlsResult> hit = cache_->find(out.key)) {
+            if (std::optional<hls::HlsResult> hit = cache_->find(out.artifactKey)) {
                 Logger::global().info("hls: cache hit for " + label);
                 out.cacheHit = true;
                 out.result = std::move(*hit);
@@ -251,7 +251,7 @@ Flow::HlsAttemptOut Flow::hlsKernelAttempt(const hls::Kernel& kernel,
         }
         if (store_ != nullptr) {
             ArtifactStore::LoadDiag diag;
-            if (std::optional<hls::HlsResult> loaded = store_->load(out.key, &diag)) {
+            if (std::optional<hls::HlsResult> loaded = store_->load(out.artifactKey, &diag)) {
                 Logger::global().info("hls: artifact store hit for " + label);
                 out.storeHit = true;
                 out.resumedFromJournal = committedAtOpen_.count(stageName) > 0;
@@ -281,19 +281,16 @@ Flow::HlsAttemptOut Flow::hlsKernelAttempt(const hls::Kernel& kernel,
             // Become (or wait for) the key's leader. The token rides in
             // `out` so leadership lasts until the commit has persisted
             // the result — followers then wake to a cache/store hit.
-            SynthGate::Claim claim = options_.synthGate->claim(out.key);
+            SynthGate::Claim claim = options_.synthGate->claim(out.artifactKey);
             out.gateToken = std::move(claim.token);
-            if (claim.waited) {
-                out.dedupedInFlight = true;
-                if (tryReuse()) {
-                    // Release immediately: we are not going to synthesize,
-                    // so other waiting followers can re-check right away.
-                    out.gateToken.reset();
-                    return out;
-                }
-                // The leader failed (nothing persisted): lead the
-                // synthesis ourselves.
+            if (claim.waited && tryReuse()) {
+                // Release immediately: we are not going to synthesize, so
+                // other waiting followers can re-check right away.
+                out.gateToken.reset();
+                return out;
             }
+            // Either we lead, or the leader failed and persisted nothing:
+            // synthesize ourselves.
         }
     }
     if (injected) {
@@ -315,7 +312,7 @@ Flow::HlsAttemptOut Flow::hlsKernelAttempt(const hls::Kernel& kernel,
         // so the wire protocol is untouched by the network model.
         try {
             RemoteSynthesis remote =
-                options_.remoteHls->synthesize(kernel, directives, out.key);
+                options_.remoteHls->synthesize(kernel, directives, out.artifactKey);
             out.result = std::move(remote.result);
             out.leaseEpoch = remote.leaseEpoch;
             out.remoteWorker = true;
@@ -338,16 +335,16 @@ Flow::HlsAttemptOut Flow::hlsKernelAttempt(const hls::Kernel& kernel,
 
 void Flow::hlsPersist(const HlsAttemptOut& out) {
     if (cache_ != nullptr && (out.fromEngine || out.storeHit)) {
-        cache_->store(out.key, out.result);
+        cache_->store(out.artifactKey, out.result);
     }
     if (store_ != nullptr && out.fromEngine) {
         if (out.leaseEpoch > 0) {
             // Remote result: fenced commit. Only the epoch of the live
             // dispatch may land; a zombie worker's resurrected commit
             // throws StaleLeaseError instead of clobbering the artifact.
-            store_->storeFenced(out.key, out.result, out.leaseEpoch);
+            store_->storeFenced(out.artifactKey, out.result, out.leaseEpoch);
         } else {
-            store_->store(out.key, out.result);
+            store_->store(out.artifactKey, out.result);
         }
     }
 }
@@ -548,256 +545,54 @@ FlowResult Flow::run(const std::string& projectName, const TaskGraph& graph) {
         .commit =
             [&](std::any&& value, const StageRun&) {
                 result.dslText = std::any_cast<std::string>(std::move(value));
-                StageOutput out;
-                out.digest = digest128(result.dslText).hex();
-                out.toolSeconds = scalaToolSeconds;
-                out.timelineLabel = "SCALA";
-                return out;
+                return StageOutput{digest128(result.dslText).hex(), scalaToolSeconds};
             },
     });
 
-    // Per-node HLS: one graph stage per node, all depending only on
-    // "scala", so they fan out across the worker pool. Cached across
-    // architectures and, via the artifact store, across runs and crashes.
-    //
-    // A multi-process network node expands instead into one stage per
-    // process ("hls:<node>/<proc>", independent — they fan out across the
-    // pool and, under a service scheduler, across tenants) plus a cheap
-    // assembly stage named "hls:<node>" so every downstream dependency
-    // (integrate, journaling, diagnostics) is shape-agnostic.
-    std::vector<std::vector<std::optional<hls::HlsResult>>> processResults(nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        const TgNode& node = nodes[i];
-        const std::string stageName = "hls:" + node.name;
-        if (kernels_.has(node.name) && !kernels_.network(node.name).trivial()) {
-            const hls::ProcessNetwork& net = kernels_.network(node.name);
-            const std::string networkKey = networkKeyFor(node, net);
-            outcomes[i].node = node.name;
-            outcomes[i].processes.resize(net.processes().size());
-            processResults[i].resize(net.processes().size());
-            std::vector<std::string> assembleDeps = {"scala"};
-            for (std::size_t j = 0; j < net.processes().size(); ++j) {
-                const std::string procName = net.processes()[j].name;
-                const std::string procStage = stageName + "/" + procName;
-                outcomes[i].processes[j].process = procName;
-                assembleDeps.push_back(procStage);
-                stages.add(Stage{
-                    .name = procStage,
-                    .deps = {"scala"},
-                    .attempt =
-                        [this, &node, &net, procName, procStage](
-                            const StageContext&) -> std::any {
-                            validateNodeInterface(node, net);
-                            const hls::Process& p = net.process(procName);
-                            return hlsKernelAttempt(
-                                p.kernel, directivesForProcess(node, net, procName),
-                                node.name + "/" + procName, procStage, node.name);
-                        },
-                    .commit =
-                        [this, &node, i, j, &outcomes, &processResults, &resultMutex,
-                         &bus, procStage](std::any&& value, const StageRun& meta) {
-                            HlsAttemptOut a =
-                                std::any_cast<HlsAttemptOut>(std::move(value));
-                            FlowDiagnostics::ProcessOutcome& po =
-                                outcomes[i].processes[j];
-                            po.artifactKey = a.key;
-                            po.cacheHit = a.cacheHit;
-                            po.storeHit = a.storeHit;
-                            po.resumedFromJournal = a.resumedFromJournal;
-                            po.dedupedInFlight = a.dedupedInFlight;
-                            po.remoteWorker = a.remoteWorker;
-                            po.toolSeconds = a.toolSeconds;
-                            po.attempts =
-                                a.fromEngine ? static_cast<unsigned>(meta.attempts) : 0u;
-                            FlowEvent event;
-                            event.stage = procStage;
-                            if (!a.rejectedWhy.empty()) {
-                                event.kind = FlowEventKind::ArtifactRejected;
-                                event.detail = a.rejectedWhy;
-                                bus.publish(event);
-                            }
-                            if (a.quarantined) {
-                                event.kind = FlowEventKind::ArtifactQuarantined;
-                                event.detail = a.rejectedWhy;
-                                bus.publish(event);
-                            }
-                            if (a.remoteWorker) {
-                                event.kind = FlowEventKind::RemoteSynthesis;
-                                event.detail =
-                                    format("lease epoch %llu",
-                                           static_cast<unsigned long long>(a.leaseEpoch));
-                                bus.publish(event);
-                            }
-                            if (a.cacheHit || a.storeHit) {
-                                event.kind = a.cacheHit ? FlowEventKind::CacheHit
-                                                        : FlowEventKind::StoreHit;
-                                event.detail = a.resumedFromJournal ? "journaled" : "";
-                                bus.publish(event);
-                            }
-                            hlsPersist(a);
-                            {
-                                const std::lock_guard<std::mutex> lock(resultMutex);
-                                processResults[i][j] = std::move(a.result);
-                            }
-                            StageOutput out;
-                            out.digest = a.key;
-                            out.toolSeconds = a.toolSeconds;
-                            out.timelineLabel = "HLS " + node.name + "/" + po.process;
-                            return out;
-                        },
-                    .absorbFailure =
-                        [this, &node, i, j, &outcomes, procName](
-                            const std::exception& e, const StageRun& meta) -> std::string {
-                            const bool engineKind =
-                                dynamic_cast<const HlsError*>(&e) != nullptr ||
-                                dynamic_cast<const StageTimeoutError*>(&e) != nullptr;
-                            if (!engineKind ||
-                                options_.hlsFailurePolicy != HlsFailurePolicy::Degrade) {
-                                return "";
-                            }
-                            Logger::global().info(
-                                format("hls: process %s/%s degraded: %s",
-                                       node.name.c_str(), procName.c_str(), e.what()));
-                            FlowDiagnostics::ProcessOutcome& po =
-                                outcomes[i].processes[j];
-                            po.degraded = true;
-                            po.error = e.what();
-                            po.attempts = static_cast<unsigned>(meta.attempts);
-                            return "degraded: " + po.error;
-                        },
-                    .trackResume = false,
-                });
+    // Every HLS stage degrades the same way. An HlsError is an engine
+    // failure and a StageTimeoutError an engine hang; under the Degrade
+    // policy the kernel is isolated instead of sinking the whole flow.
+    // Anything else (DslError, FlowCrashError, internal errors) always
+    // propagates.
+    const auto absorbHlsFailure = [this](FlowDiagnostics::HlsOutcome& outcome,
+                                         std::string what) {
+        return [this, &outcome, what](const std::exception& e,
+                                      const StageRun& meta) -> std::string {
+            const bool engineKind = dynamic_cast<const HlsError*>(&e) != nullptr ||
+                                    dynamic_cast<const StageTimeoutError*>(&e) != nullptr;
+            if (!engineKind || options_.hlsFailurePolicy != HlsFailurePolicy::Degrade) {
+                return "";
             }
-            stages.add(Stage{
-                .name = stageName,
-                .deps = std::move(assembleDeps),
-                .attempt =
-                    [this, &node, &net, i, &outcomes, &processResults](
-                        const StageContext&) -> std::any {
-                        // Every process stage finished (committed or
-                        // absorbed) before this attempt — the deps are a
-                        // happens-before edge, like integrate's.
-                        std::vector<const hls::HlsResult*> parts;
-                        parts.reserve(processResults[i].size());
-                        for (std::size_t j = 0; j < processResults[i].size(); ++j) {
-                            if (outcomes[i].processes[j].degraded ||
-                                !processResults[i][j].has_value()) {
-                                throw HlsError(format(
-                                    "network \"%s\": process \"%s\" has no synthesized "
-                                    "core; the node degrades as a whole",
-                                    node.name.c_str(),
-                                    outcomes[i].processes[j].process.c_str()));
-                            }
-                            parts.push_back(&*processResults[i][j]);
-                        }
-                        return engine_.assembleNetwork(net, parts);
-                    },
-                .commit =
-                    [this, &node, i, &outcomes, &result, &resultMutex, networkKey](
-                        std::any&& value, const StageRun&) {
-                        hls::HlsResult assembled =
-                            std::any_cast<hls::HlsResult>(std::move(value));
-                        FlowDiagnostics::NodeOutcome& outcome = outcomes[i];
-                        outcome.node = node.name;
-                        outcome.artifactKey = networkKey;
-                        bool allCache = !outcome.processes.empty();
-                        bool anyStore = false;
-                        bool allJournal = true;
-                        for (const auto& po : outcome.processes) {
-                            allCache = allCache && po.cacheHit;
-                            anyStore = anyStore || po.storeHit;
-                            allJournal = allJournal &&
-                                         (po.resumedFromJournal || po.cacheHit);
-                            outcome.remoteWorker = outcome.remoteWorker || po.remoteWorker;
-                            outcome.dedupedInFlight =
-                                outcome.dedupedInFlight || po.dedupedInFlight;
-                            outcome.toolSeconds += po.toolSeconds;
-                            outcome.attempts += po.attempts;
-                        }
-                        // Node-level reuse flags are the conjunction over
-                        // processes: the node was "a cache hit" only if no
-                        // process touched the engine.
-                        outcome.cacheHit = allCache;
-                        outcome.storeHit = !allCache && outcome.attempts == 0 && anyStore;
-                        outcome.resumedFromJournal = outcome.storeHit && allJournal;
-                        const double assemblySeconds = assembled.toolSeconds;
-                        outcome.toolSeconds += assemblySeconds;
-                        {
-                            const std::lock_guard<std::mutex> lock(resultMutex);
-                            result.programs.emplace(node.name, assembled.program);
-                            result.hlsResults.emplace(node.name, std::move(assembled));
-                        }
-                        StageOutput out;
-                        out.digest = networkKey;
-                        out.toolSeconds = assemblySeconds;
-                        out.timelineLabel = "HLS " + node.name;
-                        return out;
-                    },
-                .absorbFailure =
-                    [this, &node, i, &outcomes](const std::exception& e,
-                                                const StageRun& meta) -> std::string {
-                        const bool engineKind =
-                            dynamic_cast<const HlsError*>(&e) != nullptr ||
-                            dynamic_cast<const StageTimeoutError*>(&e) != nullptr;
-                        if (!engineKind ||
-                            options_.hlsFailurePolicy != HlsFailurePolicy::Degrade) {
-                            return "";
-                        }
-                        Logger::global().info(
-                            format("hls: node %s degraded to software: %s",
-                                   node.name.c_str(), e.what()));
-                        FlowDiagnostics::NodeOutcome& outcome = outcomes[i];
-                        outcome.node = node.name;
-                        outcome.degraded = true;
-                        outcome.error = e.what();
-                        outcome.attempts += static_cast<unsigned>(meta.attempts);
-                        return "degraded: " + outcome.error;
-                    },
-                .postCommit =
-                    [this, &node, i, &outcomes] {
-                        if (faultHooks_.consumeCorrupt(node.name)) {
-                            // The network key names no store object;
-                            // corrupt the first process artifact present.
-                            for (const auto& po : outcomes[i].processes) {
-                                if (store_ != nullptr && !po.artifactKey.empty() &&
-                                    store_->contains(po.artifactKey)) {
-                                    Logger::global().info(
-                                        "fault: corrupting stored artifact of " +
-                                        node.name + "/" + po.process);
-                                    store_->corruptObject(po.artifactKey);
-                                    break;
-                                }
-                            }
-                        }
-                    },
-                .trackResume = false,
-            });
-            continue;
-        }
-        stages.add(Stage{
-            .name = stageName,
+            Logger::global().info(format("hls: %s degraded: %s", what.c_str(), e.what()));
+            outcome.degraded = true;
+            outcome.error = e.what();
+            outcome.attempts = static_cast<unsigned>(meta.attempts);
+            return "degraded: " + outcome.error;
+        };
+    };
+
+    // The stage of one kernel synthesis: a single-kernel node, or one
+    // process of a network node. The commit records the outcome,
+    // publishes where the result came from, persists it and hands it to
+    // `land`.
+    const auto hlsStage = [&](const std::string& name, FlowDiagnostics::HlsOutcome& outcome,
+                              std::string what, std::function<HlsAttemptOut()> attempt,
+                              std::function<void(hls::HlsResult&&)> land) {
+        return Stage{
+            .name = name,
             .deps = {"scala"},
-            .attempt = [this, &node](const StageContext&) -> std::any {
-                return hlsAttempt(node);
+            .attempt = [attempt = std::move(attempt)](const StageContext&) -> std::any {
+                return attempt();
             },
             .commit =
-                [this, &node, i, &outcomes, &result, &resultMutex, &bus, stageName](
+                [this, &bus, &resultMutex, &outcome, name, land = std::move(land)](
                     std::any&& value, const StageRun& meta) {
                     HlsAttemptOut a = std::any_cast<HlsAttemptOut>(std::move(value));
-                    FlowDiagnostics::NodeOutcome& outcome = outcomes[i];
-                    outcome.node = node.name;
-                    outcome.artifactKey = a.key;
-                    outcome.cacheHit = a.cacheHit;
-                    outcome.storeHit = a.storeHit;
-                    outcome.resumedFromJournal = a.resumedFromJournal;
-                    outcome.dedupedInFlight = a.dedupedInFlight;
-                    outcome.remoteWorker = a.remoteWorker;
-                    outcome.leaseEpoch = a.leaseEpoch;
-                    outcome.toolSeconds = a.toolSeconds;
+                    outcome = a;
                     outcome.attempts =
                         a.fromEngine ? static_cast<unsigned>(meta.attempts) : 0u;
                     FlowEvent event;
-                    event.stage = stageName;
+                    event.stage = name;
                     if (!a.rejectedWhy.empty()) {
                         event.kind = FlowEventKind::ArtifactRejected;
                         event.detail = a.rejectedWhy;
@@ -823,51 +618,140 @@ FlowResult Flow::run(const std::string& projectName, const TaskGraph& graph) {
                     hlsPersist(a);
                     {
                         const std::lock_guard<std::mutex> lock(resultMutex);
-                        result.programs.emplace(node.name, a.result.program);
-                        result.hlsResults.emplace(node.name, std::move(a.result));
+                        land(std::move(a.result));
                     }
-                    StageOutput out;
-                    out.digest = a.key;
-                    out.toolSeconds = a.toolSeconds;
-                    out.timelineLabel = "HLS " + node.name;
-                    return out;
+                    return StageOutput{a.artifactKey, a.toolSeconds};
                 },
-            .absorbFailure =
-                [this, &node, i, &outcomes](const std::exception& e,
-                                            const StageRun& meta) -> std::string {
-                    // An HlsError is an engine failure and a
-                    // StageTimeoutError an engine hang; under the Degrade
-                    // policy the node is isolated instead of sinking the
-                    // whole flow. Anything else (DslError, FlowCrashError,
-                    // internal errors) always propagates.
-                    const bool engineKind =
-                        dynamic_cast<const HlsError*>(&e) != nullptr ||
-                        dynamic_cast<const StageTimeoutError*>(&e) != nullptr;
-                    if (!engineKind ||
-                        options_.hlsFailurePolicy != HlsFailurePolicy::Degrade) {
-                        return "";
+            .absorbFailure = absorbHlsFailure(outcome, std::move(what)),
+            .trackResume = false,  // HLS resume is tracked per kernel instead
+        };
+    };
+
+    // Per-node HLS: one graph stage per node, all depending only on
+    // "scala", so they fan out across the worker pool. Cached across
+    // architectures and, via the artifact store, across runs and crashes.
+    //
+    // A multi-process network node expands instead into one stage per
+    // process ("hls:<node>/<proc>", independent — they fan out across the
+    // pool and, under a service scheduler, across tenants) plus a cheap
+    // assembly stage named "hls:<node>" so every downstream dependency
+    // (integrate, journaling, diagnostics) is shape-agnostic.
+    std::vector<std::vector<std::optional<hls::HlsResult>>> processResults(nodes.size());
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+        const TgNode& node = nodes[i];
+        const std::string stageName = "hls:" + node.name;
+        FlowDiagnostics::NodeOutcome& outcome = outcomes[i];
+        outcome.node = node.name;
+        if (!kernels_.has(node.name) || kernels_.network(node.name).trivial()) {
+            Stage& stage = stages.add(hlsStage(
+                stageName, outcome, "node " + node.name,
+                [this, &node] { return hlsAttempt(node); },
+                [&result, &node](hls::HlsResult&& r) {
+                    result.programs.emplace(node.name, r.program);
+                    result.hlsResults.emplace(node.name, std::move(r));
+                }));
+            stage.postCommit = [this, &node, &outcome] {
+                const std::string& key = outcome.artifactKey;
+                if (faultHooks_.consumeCorrupt(node.name) && store_ != nullptr &&
+                    !key.empty() && store_->contains(key)) {
+                    Logger::global().info("fault: corrupting stored artifact of " + node.name);
+                    store_->corruptObject(key);
+                }
+            };
+            continue;
+        }
+        const hls::ProcessNetwork& net = kernels_.network(node.name);
+        const std::string networkKey = networkKeyFor(node, net);
+        outcome.processes.resize(net.processes().size());
+        processResults[i].resize(net.processes().size());
+        std::vector<std::string> assembleDeps = {"scala"};
+        for (std::size_t j = 0; j < net.processes().size(); ++j) {
+            FlowDiagnostics::ProcessOutcome& po = outcome.processes[j];
+            po.process = net.processes()[j].name;
+            const std::string procStage = stageName + "/" + po.process;
+            assembleDeps.push_back(procStage);
+            stages.add(hlsStage(
+                procStage, po, "process " + node.name + "/" + po.process,
+                [this, &node, &net, procName = po.process, procStage] {
+                    validateNodeInterface(node, net);
+                    const hls::Process& p = net.process(procName);
+                    return hlsKernelAttempt(p.kernel,
+                                            directivesForProcess(node, net, procName),
+                                            node.name + "/" + procName, procStage, node.name);
+                },
+                [&slot = processResults[i][j]](hls::HlsResult&& r) { slot = std::move(r); }));
+        }
+        stages.add(Stage{
+            .name = stageName,
+            .deps = std::move(assembleDeps),
+            .attempt =
+                [this, &node, &net, &outcome, &parts = processResults[i]](
+                    const StageContext&) -> std::any {
+                    // Every process stage finished (committed or absorbed)
+                    // before this attempt — the deps are a happens-before
+                    // edge, like integrate's.
+                    std::vector<const hls::HlsResult*> ptrs;
+                    ptrs.reserve(parts.size());
+                    for (std::size_t j = 0; j < parts.size(); ++j) {
+                        if (outcome.processes[j].degraded || !parts[j].has_value()) {
+                            throw HlsError(format(
+                                "network \"%s\": process \"%s\" has no synthesized "
+                                "core; the node degrades as a whole",
+                                node.name.c_str(), outcome.processes[j].process.c_str()));
+                        }
+                        ptrs.push_back(&*parts[j]);
                     }
-                    Logger::global().info(format("hls: node %s degraded to software: %s",
-                                                 node.name.c_str(), e.what()));
-                    FlowDiagnostics::NodeOutcome& outcome = outcomes[i];
-                    outcome.node = node.name;
-                    outcome.degraded = true;
-                    outcome.error = e.what();
-                    outcome.attempts = static_cast<unsigned>(meta.attempts);
-                    return "degraded: " + outcome.error;
+                    return engine_.assembleNetwork(net, ptrs);
                 },
+            .commit =
+                [&node, &outcome, &result, &resultMutex, networkKey](std::any&& value,
+                                                                     const StageRun&) {
+                    hls::HlsResult assembled = std::any_cast<hls::HlsResult>(std::move(value));
+                    outcome.artifactKey = networkKey;
+                    bool allCache = !outcome.processes.empty();
+                    bool anyStore = false;
+                    bool allJournal = true;
+                    for (const auto& po : outcome.processes) {
+                        allCache = allCache && po.cacheHit;
+                        anyStore = anyStore || po.storeHit;
+                        allJournal = allJournal && (po.resumedFromJournal || po.cacheHit);
+                        outcome.remoteWorker = outcome.remoteWorker || po.remoteWorker;
+                        outcome.toolSeconds += po.toolSeconds;
+                        outcome.attempts += po.attempts;
+                    }
+                    // Node-level reuse flags are the conjunction over
+                    // processes: the node was "a cache hit" only if no
+                    // process touched the engine.
+                    outcome.cacheHit = allCache;
+                    outcome.storeHit = !allCache && outcome.attempts == 0 && anyStore;
+                    outcome.resumedFromJournal = outcome.storeHit && allJournal;
+                    const double assemblySeconds = assembled.toolSeconds;
+                    outcome.toolSeconds += assemblySeconds;
+                    {
+                        const std::lock_guard<std::mutex> lock(resultMutex);
+                        result.programs.emplace(node.name, assembled.program);
+                        result.hlsResults.emplace(node.name, std::move(assembled));
+                    }
+                    return StageOutput{networkKey, assemblySeconds};
+                },
+            .absorbFailure = absorbHlsFailure(outcome, "node " + node.name),
             .postCommit =
-                [this, &node, i, &outcomes] {
+                [this, &node, &outcome] {
                     if (faultHooks_.consumeCorrupt(node.name)) {
-                        const std::string& key = outcomes[i].artifactKey;
-                        if (store_ != nullptr && !key.empty() && store_->contains(key)) {
-                            Logger::global().info("fault: corrupting stored artifact of " +
-                                                  node.name);
-                            store_->corruptObject(key);
+                        // The network key names no store object; corrupt
+                        // the first process artifact present.
+                        for (const auto& po : outcome.processes) {
+                            if (store_ != nullptr && !po.artifactKey.empty() &&
+                                store_->contains(po.artifactKey)) {
+                                Logger::global().info("fault: corrupting stored artifact of " +
+                                                      node.name + "/" + po.process);
+                                store_->corruptObject(po.artifactKey);
+                                break;
+                            }
                         }
                     }
                 },
-            .trackResume = false,  // HLS resume is tracked per node instead
+            .trackResume = false,
         });
     }
 
@@ -898,11 +782,8 @@ FlowResult Flow::run(const std::string& projectName, const TaskGraph& graph) {
                 Integration integration = std::any_cast<Integration>(std::move(value));
                 result.tclText = std::move(integration.tclText);
                 result.design = std::move(integration.design);
-                StageOutput out;
-                out.digest = digest128(result.tclText).hex();
-                out.toolSeconds = projectToolSeconds(result.design);
-                out.timelineLabel = "PROJECT " + projectName;
-                return out;
+                return StageOutput{digest128(result.tclText).hex(),
+                                   projectToolSeconds(result.design)};
             },
     });
 
@@ -923,11 +804,8 @@ FlowResult Flow::run(const std::string& projectName, const TaskGraph& graph) {
                     SynthOut synthOut = std::any_cast<SynthOut>(std::move(value));
                     result.synthesis = std::move(synthOut.synthesis);
                     result.bitstream = std::move(synthOut.bitstream);
-                    StageOutput out;
-                    out.digest = digest128(result.bitstream.serialize()).hex();
-                    out.toolSeconds = result.synthesis.totalSeconds();
-                    out.timelineLabel = "SYNTH " + projectName;
-                    return out;
+                    return StageOutput{digest128(result.bitstream.serialize()).hex(),
+                                       result.synthesis.totalSeconds()};
                 },
         });
     }
@@ -956,11 +834,8 @@ FlowResult Flow::run(const std::string& projectName, const TaskGraph& graph) {
             .commit =
                 [&, deviceTreeToolSeconds](std::any&& value, const StageRun&) {
                     result.deviceTree = std::any_cast<std::string>(std::move(value));
-                    StageOutput out;
-                    out.digest = digest128(result.deviceTree).hex();
-                    out.toolSeconds = deviceTreeToolSeconds();
-                    out.timelineLabel = "SW devicetree";
-                    return out;
+                    return StageOutput{digest128(result.deviceTree).hex(),
+                                       deviceTreeToolSeconds()};
                 },
         });
         stages.add(Stage{
@@ -981,11 +856,7 @@ FlowResult Flow::run(const std::string& projectName, const TaskGraph& graph) {
                     for (const auto& file : result.driverFiles) {
                         h.field(file.path).field(file.content);
                     }
-                    StageOutput out;
-                    out.digest = h.digest().hex();
-                    out.toolSeconds = driversToolSeconds();
-                    out.timelineLabel = "SW drivers";
-                    return out;
+                    return StageOutput{h.digest().hex(), driversToolSeconds()};
                 },
         });
         if (options_.runSynthesis) {
@@ -1001,11 +872,7 @@ FlowResult Flow::run(const std::string& projectName, const TaskGraph& graph) {
                 .commit =
                     [&](std::any&& value, const StageRun&) {
                         result.bootImage = std::any_cast<sw::BootImage>(std::move(value));
-                        StageOutput out;
-                        out.digest = digest128(result.bootImage.serialize()).hex();
-                        out.toolSeconds = 1.5;
-                        out.timelineLabel = "SW boot";
-                        return out;
+                        return StageOutput{digest128(result.bootImage.serialize()).hex(), 1.5};
                     },
             });
         }
@@ -1028,14 +895,16 @@ FlowResult Flow::run(const std::string& projectName, const TaskGraph& graph) {
             .deps = std::move(artifactDeps),
             .attempt =
                 [&](const StageContext&) -> std::any {
-                    writeArtifacts(result);
+                    // Every other stage has finished by now, so the
+                    // report's stage table is complete but for this one.
+                    std::vector<std::string> reported = stages.topologicalNames();
+                    std::erase(reported, "artifacts");
+                    writeArtifacts(result, table->orderedRows(reported));
                     return std::any{};
                 },
             .commit =
                 [&](std::any&&, const StageRun&) {
-                    StageOutput out;
-                    out.digest = digest128(result.dslText + result.tclText).hex();
-                    return out;
+                    return StageOutput{digest128(result.dslText + result.tclText).hex()};
                 },
         });
     }
@@ -1049,9 +918,8 @@ FlowResult Flow::run(const std::string& projectName, const TaskGraph& graph) {
     config.digestsAtOpen = digestsAtOpen_;
     StageGraphExecutor executor(config, &bus, &faultHooks_);
 
-    std::vector<StageExecution> executions;
     try {
-        executions = executor.execute(stages);
+        executor.execute(stages);
     } catch (...) {
         if (trace != nullptr) {
             trace->write(options_.traceOutPath);
@@ -1059,19 +927,10 @@ FlowResult Flow::run(const std::string& projectName, const TaskGraph& graph) {
         throw;
     }
 
-    // ----- Assemble the timeline and the diagnostics, in deterministic
-    // topological order (never in completion order).
-    for (const std::size_t index : stages.topologicalOrder()) {
-        const StageExecution& exec = executions[index];
-        if (exec.ran && !exec.absorbed && !exec.output.timelineLabel.empty()) {
-            result.timeline.add(exec.output.timelineLabel, exec.hostMs,
-                                exec.output.toolSeconds);
-        }
-    }
+    // ----- Assemble the diagnostics, in deterministic topological order
+    // (never in completion order).
     FlowDiagnostics& diag = result.diagnostics;
-    for (auto& outcome : outcomes) {
-        diag.nodes.push_back(std::move(outcome));
-    }
+    diag.nodes = std::move(outcomes);
     diag.stages = table->orderedRows(stages.topologicalNames());
     diag.stageRetries = executor.stats().stageRetries;
     diag.stageTimeouts = executor.stats().stageTimeouts;
@@ -1085,12 +944,12 @@ FlowResult Flow::run(const std::string& projectName, const TaskGraph& graph) {
         trace->write(options_.traceOutPath);
     }
     Logger::global().info(format("flow: project %s complete (%.1f simulated tool-seconds)",
-                                 projectName.c_str(),
-                                 result.timeline.totalToolSeconds()));
+                                 projectName.c_str(), diag.stageToolSeconds()));
     return result;
 }
 
-void Flow::writeArtifacts(const FlowResult& result) const {
+void Flow::writeArtifacts(const FlowResult& result,
+                          const std::vector<FlowDiagnostics::StageOutcome>& stages) const {
     // Atomic per-file writes: a crash mid-write leaves each artifact
     // either whole (old or new) or absent, never torn.
     const std::string dir = options_.outputDir + "/" + result.projectName;
@@ -1117,7 +976,7 @@ void Flow::writeArtifacts(const FlowResult& result) const {
         }
     }
     writeFileAtomic(dir + "/design.dot", result.design.toDot());
-    writeFileAtomic(dir + "/REPORT.md", renderFlowReport(result));
+    writeFileAtomic(dir + "/REPORT.md", renderFlowReport(result, stages));
 }
 
 } // namespace socgen::core

@@ -1,6 +1,5 @@
 #pragma once
 
-#include "socgen/common/stopwatch.hpp"
 #include "socgen/core/artifact_store.hpp"
 #include "socgen/core/diagnostics.hpp"
 #include "socgen/core/event_bus.hpp"
@@ -151,7 +150,6 @@ struct FlowResult {
     std::string deviceTree;
     std::vector<sw::GeneratedFile> driverFiles;
     sw::BootImage bootImage;
-    PhaseTimeline timeline;
     FlowDiagnostics diagnostics;
 };
 
@@ -199,23 +197,14 @@ private:
     };
 
     /// Outcome of one HLS attempt body: the result plus where it came
-    /// from. Produced inside the supervised attempt (pure — no shared
-    /// writes); consumed by the commit phase, which persists the result
-    /// and publishes the reuse events exactly once.
-    struct HlsAttemptOut {
+    /// from, as the HlsOutcome the commit records. Produced inside the
+    /// supervised attempt (pure — no shared writes); consumed by the
+    /// commit phase, which persists the result and publishes the reuse
+    /// events exactly once. A non-zero `leaseEpoch` makes the commit use
+    /// ArtifactStore::storeFenced, which rejects zombie commits.
+    struct HlsAttemptOut : FlowDiagnostics::HlsOutcome {
         hls::HlsResult result;
-        std::string key;           ///< content-addressed artifact key
-        double toolSeconds = 0.0;  ///< tool time charged (0 on reuse)
-        bool cacheHit = false;
-        bool storeHit = false;
-        bool resumedFromJournal = false;
         bool fromEngine = false;   ///< synthesized by the engine this attempt
-        bool dedupedInFlight = false;  ///< waited on another flow's synthesis
-        bool remoteWorker = false; ///< synthesized by an out-of-process worker
-        /// Lease epoch of the remote dispatch that produced the result;
-        /// 0 for in-process synthesis. Non-zero makes the commit use
-        /// ArtifactStore::storeFenced, which rejects zombie commits.
-        std::uint64_t leaseEpoch = 0;
         std::string rejectedWhy;   ///< non-empty: a stored object failed validation
         bool quarantined = false;  ///< the rejected object was quarantined
         /// SynthGate leadership token, held until this value is
@@ -267,7 +256,10 @@ private:
     [[nodiscard]] Integration integrate(const std::string& projectName,
                                         const TaskGraph& graph, const FlowResult& result,
                                         const std::set<std::string>& degraded) const;
-    void writeArtifacts(const FlowResult& result) const;
+    /// Writes the project directory; `stages` are the rows of the
+    /// report's stage timeline.
+    void writeArtifacts(const FlowResult& result,
+                        const std::vector<FlowDiagnostics::StageOutcome>& stages) const;
 
     /// True if an injected transient failure should fire for `kernel`
     /// (decrements the per-kernel budget).

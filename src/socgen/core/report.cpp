@@ -6,7 +6,8 @@
 
 namespace socgen::core {
 
-std::string renderFlowReport(const FlowResult& result) {
+std::string renderFlowReport(const FlowResult& result,
+                             const std::vector<FlowDiagnostics::StageOutcome>& stages) {
     std::ostringstream out;
     out << "# Flow report — " << result.projectName << "\n\n";
 
@@ -41,13 +42,14 @@ std::string renderFlowReport(const FlowResult& result) {
     }
 
     out << "## Generation timeline\n\n";
-    out << "| phase | simulated tool s | host ms |\n|-------|----------------:|--------:|\n";
-    for (const auto& phase : result.timeline.phases()) {
-        out << format("| %s | %.1f | %.3f |\n", phase.name.c_str(), phase.toolSeconds,
-                      phase.hostMs);
+    out << "| stage | simulated tool s | source |\n|-------|----------------:|--------|\n";
+    double totalToolSeconds = 0.0;
+    for (const auto& s : stages) {
+        out << format("| %s | %.1f | %s |\n", s.stage.c_str(), s.toolSeconds,
+                      s.source.c_str());
+        totalToolSeconds += s.toolSeconds;
     }
-    out << format("| **total** | **%.1f** | **%.3f** |\n\n",
-                  result.timeline.totalToolSeconds(), result.timeline.totalHostMs());
+    out << format("| **total** | **%.1f** | |\n\n", totalToolSeconds);
 
     out << "## Artifacts\n\n";
     out << "- `" << result.projectName << ".tg` — DSL description ("

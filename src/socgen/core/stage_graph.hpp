@@ -25,8 +25,7 @@ struct StageContext {
 /// What a finished stage reports back to the executor.
 struct StageOutput {
     std::string digest;          ///< committed to the journal ("" = skip commit)
-    double toolSeconds = 0.0;    ///< simulated tool time for the timeline
-    std::string timelineLabel;   ///< phase name ("" = no timeline entry)
+    double toolSeconds = 0.0;    ///< simulated tool time, published on commit
 };
 
 /// One node of the flow graph. Execution is split in two so supervision

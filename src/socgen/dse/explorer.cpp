@@ -30,7 +30,7 @@ VariantOutcome Explorer::evaluate(const std::string& project,
     outcome.engineRuns = outcome.result.diagnostics.engineRuns();
     outcome.cacheHits = outcome.result.diagnostics.cacheHits();
     outcome.storeHits = outcome.result.diagnostics.storeHits();
-    outcome.toolSeconds = outcome.result.timeline.totalToolSeconds();
+    outcome.toolSeconds = outcome.result.diagnostics.stageToolSeconds();
     return outcome;
 }
 

@@ -121,26 +121,6 @@ TEST(Log, LevelFiltering) {
     EXPECT_TRUE(capture.contains("kept"));
 }
 
-TEST(Timeline, AccumulatesAndQueries) {
-    PhaseTimeline timeline;
-    timeline.add("SCALA", 1.0, 6.0);
-    timeline.add("HLS a", 2.0, 30.0);
-    timeline.add("HLS b", 3.0, 40.0);
-    timeline.add("SYNTH p", 4.0, 500.0);
-    EXPECT_DOUBLE_EQ(timeline.totalHostMs(), 10.0);
-    EXPECT_DOUBLE_EQ(timeline.totalToolSeconds(), 576.0);
-    EXPECT_DOUBLE_EQ(timeline.toolSecondsFor("HLS"), 70.0);
-    EXPECT_DOUBLE_EQ(timeline.toolSecondsFor("SCALA"), 6.0);
-    EXPECT_DOUBLE_EQ(timeline.toolSecondsFor("nope"), 0.0);
-
-    PhaseTimeline other;
-    other.add("SW", 1.0, 2.0);
-    timeline.append(other);
-    EXPECT_EQ(timeline.phases().size(), 5u);
-    timeline.clear();
-    EXPECT_TRUE(timeline.phases().empty());
-}
-
 TEST(Stopwatch, MeasuresNonNegative) {
     Stopwatch watch;
     EXPECT_GE(watch.elapsedMs(), 0.0);

@@ -1,5 +1,6 @@
 #include "socgen/apps/kernels.hpp"
 #include "socgen/common/error.hpp"
+#include "socgen/common/strings.hpp"
 #include "socgen/common/textfile.hpp"
 #include "socgen/core/flow.hpp"
 #include "socgen/core/report.hpp"
@@ -8,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 
@@ -62,17 +64,19 @@ TEST(Flow, TimelineHasAllPhases) {
     const hls::KernelLibrary kernels = exampleKernels();
     Flow flow(FlowOptions{}, kernels);
     const FlowResult result = flow.run("proj", quickstartGraph());
-    const PhaseTimeline& t = result.timeline;
-    EXPECT_GT(t.toolSecondsFor("SCALA"), 0.0);
-    EXPECT_GT(t.toolSecondsFor("HLS"), 0.0);
-    EXPECT_GT(t.toolSecondsFor("PROJECT"), 0.0);
-    EXPECT_GT(t.toolSecondsFor("SYNTH"), 0.0);
-    EXPECT_GT(t.toolSecondsFor("SW"), 0.0);
+    const FlowDiagnostics& d = result.diagnostics;
+    EXPECT_GT(d.stageToolSeconds("scala"), 0.0);
+    EXPECT_GT(d.stageToolSeconds("hls:"), 0.0);
+    EXPECT_GT(d.stageToolSeconds("integrate"), 0.0);
+    EXPECT_GT(d.stageToolSeconds("synth"), 0.0);
+    EXPECT_GT(d.stageToolSeconds("devicetree"), 0.0);
+    EXPECT_GT(d.stageToolSeconds("drivers"), 0.0);
+    EXPECT_GT(d.stageToolSeconds("boot"), 0.0);
     // The paper reports ~6 s to compile the Scala task graph and ~50 s to
     // generate the Vivado project; our deterministic model stays in that
     // neighbourhood.
-    EXPECT_NEAR(t.toolSecondsFor("SCALA"), 6.0, 2.0);
-    EXPECT_NEAR(t.toolSecondsFor("PROJECT"), 50.0, 20.0);
+    EXPECT_NEAR(d.stageToolSeconds("scala"), 6.0, 2.0);
+    EXPECT_NEAR(d.stageToolSeconds("integrate"), 50.0, 20.0);
 }
 
 TEST(Flow, CacheSkipsRepeatedHls) {
@@ -80,14 +84,14 @@ TEST(Flow, CacheSkipsRepeatedHls) {
     auto cache = std::make_shared<HlsCache>();
     Flow flowA(FlowOptions{}, kernels, cache);
     const FlowResult first = flowA.run("a", quickstartGraph());
-    EXPECT_GT(first.timeline.toolSecondsFor("HLS"), 0.0);
+    EXPECT_GT(first.diagnostics.stageToolSeconds("hls:"), 0.0);
     EXPECT_EQ(cache->size(), 3u);
 
     Flow flowB(FlowOptions{}, kernels, cache);
     const FlowResult second = flowB.run("b", quickstartGraph());
     // All three nodes hit the cache: no HLS tool time charged (the paper
     // generates each core once across its four architectures).
-    EXPECT_DOUBLE_EQ(second.timeline.toolSecondsFor("HLS"), 0.0);
+    EXPECT_DOUBLE_EQ(second.diagnostics.stageToolSeconds("hls:"), 0.0);
     EXPECT_EQ(second.hlsResults.at("GAUSS").resources,
               first.hlsResults.at("GAUSS").resources);
 }
@@ -155,7 +159,7 @@ TEST(Flow, SynthesisCanBeSkipped) {
     const FlowResult result = Flow(options, kernels).run("p", quickstartGraph());
     EXPECT_EQ(result.synthesis.total, hls::ResourceEstimate{});
     EXPECT_TRUE(result.bitstream.configRecords.empty());
-    EXPECT_DOUBLE_EQ(result.timeline.toolSecondsFor("SYNTH"), 0.0);
+    EXPECT_DOUBLE_EQ(result.diagnostics.stageToolSeconds("synth"), 0.0);
     EXPECT_FALSE(result.tclText.empty());  // integration still ran
 }
 
@@ -183,13 +187,13 @@ TEST(Flow, WritesArtifactsToOutputDir) {
 TEST(Flow, MarkdownReportCoversEverything) {
     const hls::KernelLibrary kernels = exampleKernels();
     const FlowResult result = Flow(FlowOptions{}, kernels).run("rep", quickstartGraph());
-    const std::string report = renderFlowReport(result);
+    const std::string report = renderFlowReport(result, result.diagnostics.stages);
     EXPECT_NE(report.find("# Flow report — rep"), std::string::npos);
     EXPECT_NE(report.find("## Hardware cores"), std::string::npos);
     EXPECT_NE(report.find("| GAUSS |"), std::string::npos);
     EXPECT_NE(report.find("## Synthesis"), std::string::npos);
     EXPECT_NE(report.find("## Generation timeline"), std::string::npos);
-    EXPECT_NE(report.find("SCALA"), std::string::npos);
+    EXPECT_NE(report.find("| scala | "), std::string::npos);
     EXPECT_NE(report.find(".bit` — bitstream"), std::string::npos);
     EXPECT_NE(report.find("hls/GAUSS.vhd"), std::string::npos);
 }
@@ -204,6 +208,43 @@ TEST(Flow, ReportWrittenWithArtifacts) {
     (void)Flow(options, kernels).run("rep", quickstartGraph());
     EXPECT_TRUE(fs::exists(dir + "/rep/REPORT.md"));
     EXPECT_TRUE(fs::exists(dir + "/rep/hls/GAUSS.v"));  // Verilog alongside VHDL
+    fs::remove_all(dir);
+}
+
+TEST(Flow, WrittenReportTimelineIsTheStageTable) {
+    // The flow writes REPORT.md from inside its last stage, "artifacts":
+    // the timeline holds one row per other stage and totals to the tool
+    // time the run's diagnostics record.
+    namespace fs = std::filesystem;
+    const std::string dir = testing::TempDir() + "/socgen_report_rows";
+    fs::remove_all(dir);
+    const hls::KernelLibrary kernels = exampleKernels();
+    FlowOptions options;
+    options.outputDir = dir;
+    const FlowResult result = Flow(options, kernels).run("rep", quickstartGraph());
+    const std::string report = readTextFile(dir + "/rep/REPORT.md");
+    const std::string timeline =
+        report.substr(report.find("## Generation timeline"),
+                      report.find("## Artifacts") - report.find("## Generation timeline"));
+    std::size_t rows = 0;
+    for (const auto& stage : result.diagnostics.stages) {
+        if (stage.stage == "artifacts") {
+            continue;
+        }
+        ++rows;
+        EXPECT_NE(timeline.find(format("| %s | %.1f | %s |\n", stage.stage.c_str(),
+                                       stage.toolSeconds, stage.source.c_str())),
+                  std::string::npos)
+            << stage.stage;
+    }
+    EXPECT_EQ(rows, result.diagnostics.stages.size() - 1);
+    // Header, alignment row, one row per stage, total.
+    EXPECT_EQ(static_cast<std::size_t>(std::count(timeline.begin(), timeline.end(), '|')),
+              4 * (rows + 3));
+    EXPECT_NE(timeline.find(format("| **total** | **%.1f** | |",
+                                   result.diagnostics.stageToolSeconds())),
+              std::string::npos);
+    EXPECT_EQ(timeline.find("artifacts"), std::string::npos);
     fs::remove_all(dir);
 }
 
