@@ -9,31 +9,23 @@
 //                         (warm cache, store, or in-flight dedupe)
 //   - shed count          flows evicted by priority admission control
 //
-// Five phases: (1) a mixed 6-tenant cold/warm soak, (2) the ISSUE's
-// acceptance workload — two tenants submitting identical kernels, where
-// the dedupe hit rate must exceed 50% — (3) an overload storm against a
+// Three phases: (1) a mixed 6-tenant cold/warm soak, (2) the acceptance
+// workload — two tenants submitting identical kernels, where the dedupe
+// hit rate must exceed 50% — and (3) an overload storm against a
 // deliberately tiny queue, where shedding (not memory growth or
-// blocking) absorbs the excess, (4) the same cold workload run twice,
-// in-process vs. a 2-worker out-of-process fleet, to price the IPC hop
-// (throughput + p99), and (5) a 20-kill storm against the fleet: a
-// killer thread SIGKILLs random workers while flows drain, and the
-// phase reports mean time-to-recover (death detected → replacement
-// worker's Hello) plus the re-dispatch / stale-fence counters. The run
-// summary is also written to bench_artifacts/flow_service_load.txt.
+// blocking) absorbs the excess. The run summary is also written to
+// bench_artifacts/flow_service_load.txt.
 
 #include "socgen/apps/kernels.hpp"
 #include "socgen/socgen.hpp"
 #include "socgen/svc/flow_service.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace socgen;
@@ -181,9 +173,6 @@ std::string freshRoot(const std::string& name) {
 
 int main() {
     Logger::global().setLevel(LogLevel::Error);
-    // The bench controls worker counts per phase; a stray service-wide
-    // override would make the in-process baseline silently out-of-process.
-    ::unsetenv("SOCGEN_SVC_WORKERS");
 
     hls::KernelLibrary kernels;
     kernels.add(apps::makeAddKernel());
@@ -192,18 +181,6 @@ int main() {
     kernels.add(apps::makeEdgeKernel(64));
     for (int t = 0; t < 6; ++t) {
         kernels.add(uniqueKernel("COLD" + std::to_string(t), 4 + t));
-    }
-    for (int t = 0; t < 4; ++t) {
-        for (int r = 0; r < 16; ++r) {
-            kernels.add(uniqueKernel(
-                "IPC" + std::to_string(t) + "_" + std::to_string(r), 3 + (t + r) % 5));
-        }
-    }
-    for (int k = 0; k < 3; ++k) {
-        for (int r = 0; r < 20; ++r) {
-            kernels.add(uniqueKernel(
-                "STORM" + std::to_string(k) + "_" + std::to_string(r), 8));
-        }
     }
 
     emit("Multi-tenant flow service load generator\n");
@@ -312,144 +289,6 @@ int main() {
         PhaseStats stats = drainAndCollect(service, handles, start);
         report("phase 3: overload storm (120 flows, 1 runner, 8-deep queue)", stats,
                service.stats());
-        std::filesystem::remove_all(config.rootDir);
-    }
-
-    // Phase 4: the IPC hop, priced. The same 64-flow all-cold workload
-    // (every HLS stage is a real engine run — nothing to dedupe) runs
-    // twice against fresh roots: once in-process, once through a
-    // 2-worker out-of-process fleet. The delta is pure wire cost:
-    // AST encode + pipe round-trip + result decode per synthesis.
-    {
-        struct ColdRun {
-            PhaseStats stats;
-            svc::WorkerFleetStats fleet;
-            bool usedFleet = false;
-        };
-        auto runCold = [&kernels](unsigned workers) {
-            ColdRun run;
-            svc::ServiceConfig config;
-            config.rootDir = freshRoot(workers > 0 ? "ipc_fleet" : "ipc_local");
-            config.stageWorkers = 4;
-            config.flowRunners = 4;
-            config.maxQueuedFlows = 256;
-            config.workers = workers;
-            svc::FlowService service(config, kernels);
-            for (int t = 0; t < 4; ++t) {
-                svc::TenantConfig tenant;
-                tenant.maxQueueDepth = 256;
-                service.configureTenant("tenant" + std::to_string(t), tenant);
-            }
-            const auto start = std::chrono::steady_clock::now();
-            std::vector<svc::FlowHandle> handles;
-            for (int round = 0; round < 16; ++round) {
-                for (int t = 0; t < 4; ++t) {
-                    svc::FlowRequest request;
-                    request.tenant = "tenant" + std::to_string(t);
-                    request.project =
-                        "i" + std::to_string(t) + "_" + std::to_string(round);
-                    request.graph = soloGraph("IPC" + std::to_string(t) + "_" +
-                                              std::to_string(round));
-                    handles.push_back(service.submit(std::move(request)));
-                }
-            }
-            run.stats = drainAndCollect(service, handles, start);
-            if (service.fleet() != nullptr) {
-                run.fleet = service.fleet()->stats();
-                run.usedFleet = run.fleet.requestsCompleted > 0;
-            }
-            std::filesystem::remove_all(config.rootDir);
-            return run;
-        };
-        ColdRun local = runCold(0);
-        ColdRun fleet = runCold(2);
-        emit("phase 4: out-of-process worker fleet vs in-process (64 cold flows)\n");
-        emit("  %-28s %10.1f flows/s   p50 %8.2f ms   p99 %8.2f ms\n",
-             "in-process", local.stats.throughput(), local.stats.percentile(0.50),
-             local.stats.percentile(0.99));
-        emit("  %-28s %10.1f flows/s   p50 %8.2f ms   p99 %8.2f ms\n",
-             "2-worker fleet", fleet.stats.throughput(), fleet.stats.percentile(0.50),
-             fleet.stats.percentile(0.99));
-        if (fleet.usedFleet) {
-            emit("  %-28s %10zu syntheses over the wire, %zu spawns\n",
-                 "fleet traffic", fleet.fleet.requestsCompleted, fleet.fleet.spawns);
-        } else {
-            emit("  %-28s fleet unavailable — worker run fell back in-process\n",
-                 "fleet traffic");
-        }
-        emit("\n");
-    }
-
-    // Phase 5: 20-kill storm. Six tenants drain a cold+warm mix through
-    // a 2-worker fleet while a killer thread SIGKILLs a random live
-    // worker every ~25 ms, 20 times. Every flow must still complete
-    // (supervisors respawn + re-dispatch); the phase reports the mean
-    // time-to-recover and the fence/re-dispatch counters.
-    {
-        svc::ServiceConfig config;
-        config.rootDir = freshRoot("killstorm");
-        config.stageWorkers = 4;
-        config.flowRunners = 4;
-        config.maxQueuedFlows = 512;
-        config.workers = 2;
-        svc::FlowService service(config, kernels);
-        for (int t = 0; t < 6; ++t) {
-            svc::TenantConfig tenant;
-            tenant.maxQueueDepth = 512;
-            service.configureTenant("tenant" + std::to_string(t), tenant);
-        }
-        const auto start = std::chrono::steady_clock::now();
-        std::vector<svc::FlowHandle> handles;
-        for (int round = 0; round < 20; ++round) {
-            for (int t = 0; t < 6; ++t) {
-                svc::FlowRequest request;
-                request.tenant = "tenant" + std::to_string(t);
-                request.project =
-                    "k" + std::to_string(t) + "_" + std::to_string(round);
-                request.graph = (t < 3)
-                                    ? soloGraph("STORM" + std::to_string(t) + "_" +
-                                                std::to_string(round))
-                                    : sharedGraph();
-                handles.push_back(service.submit(std::move(request)));
-            }
-        }
-        std::atomic<bool> drained{false};
-        std::size_t killsIssued = 0;
-        std::thread killer([&service, &drained, &killsIssued] {
-            svc::WorkerFleet* fleet = service.fleet();
-            if (fleet == nullptr) {
-                return;
-            }
-            for (int i = 0; i < 200 && fleet->workerPids().empty(); ++i) {
-                std::this_thread::sleep_for(std::chrono::milliseconds(10));
-            }
-            std::uint64_t seed = 0x5eedULL;
-            while (killsIssued < 20 && !drained.load()) {
-                if (fleet->killRandomWorker(seed++).has_value()) {
-                    ++killsIssued;
-                }
-                std::this_thread::sleep_for(std::chrono::milliseconds(25));
-            }
-        });
-        PhaseStats stats = drainAndCollect(service, handles, start);
-        drained.store(true);
-        killer.join();
-        svc::WorkerFleetStats fleetStats;
-        if (service.fleet() != nullptr) {
-            fleetStats = service.fleet()->stats();
-        }
-        emit("phase 5: 20-kill storm against the 2-worker fleet (120 flows)\n");
-        emit("  %-28s %10zu of %zu flows\n", "completed", stats.completed,
-             handles.size());
-        emit("  %-28s %10zu issued, %zu deaths observed, %zu respawns\n",
-             "kill -9", killsIssued, fleetStats.workerDeaths, fleetStats.respawns);
-        emit("  %-28s %10.1f ms over %zu recoveries\n", "mean time-to-recover",
-             fleetStats.meanRecoverMs(), fleetStats.recoveries);
-        emit("  %-28s %10zu re-dispatched, %zu stale results fenced\n",
-             "lost attempts", fleetStats.redispatches, fleetStats.staleResultsDropped);
-        emit("  %-28s %10zu over the wire, %zu failed over to in-process\n\n",
-             "syntheses", fleetStats.requestsCompleted, fleetStats.requestsFailed);
-        report("phase 5 service totals", stats, service.stats());
         std::filesystem::remove_all(config.rootDir);
     }
 

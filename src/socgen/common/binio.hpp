@@ -11,9 +11,8 @@
 
 namespace socgen {
 
-/// Flat little-endian byte stream primitives, shared by every binary
-/// codec in the tree: the HlsResult artifact encoding (hls/serialize)
-/// and the worker wire protocol (svc/wire). The reader bounds-checks
+/// Flat little-endian byte stream primitives of the HlsResult artifact
+/// encoding (hls/serialize). The reader bounds-checks
 /// every access and throws CodecError, so a truncated or bit-flipped
 /// payload is always a clean, typed failure — never undefined behaviour.
 

@@ -13,11 +13,6 @@ namespace socgen {
 /// like SOCGEN_FLOW_JOBS=fourr ran the flow serially without a word.
 [[nodiscard]] std::optional<unsigned> envUnsigned(const char* name);
 
-/// Like envUnsigned but zero is a legal value: knobs where 0 means
-/// "disabled" (SOCGEN_SVC_WORKERS=0 turns the worker fleet off) rather
-/// than a typo.
-[[nodiscard]] std::optional<unsigned> envUnsignedOrZero(const char* name);
-
 /// Reads a string-valued environment override verbatim. Returns nullopt
 /// when unset or empty (an empty value means "no override" everywhere).
 [[nodiscard]] std::optional<std::string> envString(const char* name);

@@ -97,8 +97,8 @@ private:
 
 /// Raised by the flat binary codec primitives (BinReader) on a malformed
 /// byte stream: truncation, implausible element counts, trailing bytes.
-/// Callers that persist encodings (the artifact store) or transport them
-/// (the worker wire protocol) wrap it in their own error type.
+/// The artifact store, which persists encodings, wraps it in its own
+/// error type.
 class CodecError : public Error {
 public:
     explicit CodecError(const std::string& message) : Error("codec: " + message) {}
@@ -123,47 +123,12 @@ public:
         : ArtifactError("corrupt: " + message) {}
 };
 
-/// Raised by ArtifactStore::storeFenced when a commit carries a lease
-/// epoch older than the key's current lease — a zombie worker (killed,
-/// re-dispatched elsewhere, then resurrected) trying to apply a result
-/// that has been superseded. The commit is rejected, never applied.
-class StaleLeaseError : public ArtifactError {
-public:
-    explicit StaleLeaseError(const std::string& message)
-        : ArtifactError("stale-lease: " + message) {}
-};
-
 /// Raised by common::Subprocess on spawn/IO/wait failures (fork failed,
 /// exec failed, pipe error).
 class SubprocessError : public Error {
 public:
     explicit SubprocessError(const std::string& message)
         : Error("subprocess: " + message) {}
-};
-
-/// Raised by the svc::wire frame codec on malformed frames: bad frame
-/// type, oversized length prefix, payload that fails to decode.
-class WireError : public Error {
-public:
-    explicit WireError(const std::string& message) : Error("wire: " + message) {}
-};
-
-/// Raised by the worker fleet for failures of the fleet itself (as
-/// opposed to structured HLS errors a worker reports, which surface as
-/// HlsError exactly like an in-process failure).
-class WorkerError : public Error {
-public:
-    explicit WorkerError(const std::string& message) : Error("worker: " + message) {}
-};
-
-/// Raised when no worker can serve a dispatch (spawn failures exhausted
-/// the respawn budget, or the fleet is shutting down). The flow catches
-/// this and falls back to in-process synthesis — graceful degradation,
-/// never a failed tenant flow.
-class WorkerUnavailableError : public WorkerError {
-public:
-    explicit WorkerUnavailableError(const std::string& message)
-        : WorkerError("unavailable: " + message) {}
 };
 
 /// Raised by the stage-graph engine on a malformed flow graph: duplicate

@@ -6,57 +6,24 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
-#include <mutex>
 
 #include <fcntl.h>
-#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 namespace socgen {
-namespace {
-
-void closeFd(int& fd) noexcept {
-    if (fd >= 0) {
-        ::close(fd);
-        fd = -1;
-    }
-}
-
-/// SIGPIPE would kill the whole service when a worker dies mid-write;
-/// ignoring it turns that into an EPIPE return the fleet handles.
-void ignoreSigpipeOnce() {
-    static std::once_flag once;
-    std::call_once(once, [] { ::signal(SIGPIPE, SIG_IGN); });
-}
-
-} // namespace
 
 Subprocess Subprocess::spawn(const std::vector<std::string>& argv) {
-    return spawn(argv, SpawnOptions{});
-}
-
-Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
-                             const SpawnOptions& options) {
     if (argv.empty()) {
         throw SubprocessError("empty argv");
     }
-    ignoreSigpipeOnce();
 
-    int inPipe[2];   // parent writes -> child stdin
-    int outPipe[2];  // child stdout -> parent reads
+    int outPipe[2];  // child stdout+stderr -> parent reads
     int execPipe[2]; // CLOEXEC status channel: exec failure errno
-    if (::pipe(inPipe) != 0) {
-        throw SubprocessError(format("pipe: %s", std::strerror(errno)));
-    }
     if (::pipe(outPipe) != 0) {
-        ::close(inPipe[0]);
-        ::close(inPipe[1]);
         throw SubprocessError(format("pipe: %s", std::strerror(errno)));
     }
     if (::pipe(execPipe) != 0) {
-        ::close(inPipe[0]);
-        ::close(inPipe[1]);
         ::close(outPipe[0]);
         ::close(outPipe[1]);
         throw SubprocessError(format("pipe: %s", std::strerror(errno)));
@@ -65,8 +32,6 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
 
     const pid_t child = ::fork();
     if (child < 0) {
-        ::close(inPipe[0]);
-        ::close(inPipe[1]);
         ::close(outPipe[0]);
         ::close(outPipe[1]);
         ::close(execPipe[0]);
@@ -75,13 +40,13 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
     }
     if (child == 0) {
         // Child. Only async-signal-safe calls between fork and exec.
-        ::dup2(inPipe[0], STDIN_FILENO);
-        ::dup2(outPipe[1], STDOUT_FILENO);
-        if (options.mergeStderrIntoStdout) {
-            ::dup2(outPipe[1], STDERR_FILENO);
+        const int devNull = ::open("/dev/null", O_RDONLY);
+        if (devNull >= 0) {
+            ::dup2(devNull, STDIN_FILENO);
+            ::close(devNull);
         }
-        ::close(inPipe[0]);
-        ::close(inPipe[1]);
+        ::dup2(outPipe[1], STDOUT_FILENO);
+        ::dup2(outPipe[1], STDERR_FILENO);
         ::close(outPipe[0]);
         ::close(outPipe[1]);
         ::close(execPipe[0]);
@@ -100,7 +65,6 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
     }
 
     // Parent.
-    ::close(inPipe[0]);
     ::close(outPipe[1]);
     ::close(execPipe[1]);
 
@@ -109,134 +73,42 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
     const ssize_t n = ::read(execPipe[0], &execErrno, sizeof execErrno);
     ::close(execPipe[0]);
     if (n > 0) {
-        ::close(inPipe[1]);
         ::close(outPipe[0]);
         int status = 0;
         (void)::waitpid(child, &status, 0);
         throw SubprocessError(format("exec %s: %s", argv[0].c_str(),
                                      std::strerror(execErrno)));
     }
-
-    Subprocess p;
-    p.pid_ = child;
-    p.stdinFd_ = inPipe[1];
-    p.stdoutFd_ = outPipe[0];
-    return p;
+    return Subprocess(child, outPipe[0]);
 }
 
-Subprocess::Subprocess(Subprocess&& other) noexcept
-    : pid_(other.pid_), stdinFd_(other.stdinFd_), stdoutFd_(other.stdoutFd_),
-      reaped_(other.reaped_), status_(other.status_) {
-    other.pid_ = -1;
-    other.stdinFd_ = -1;
-    other.stdoutFd_ = -1;
-    other.reaped_ = true;
-}
-
-Subprocess& Subprocess::operator=(Subprocess&& other) noexcept {
-    if (this != &other) {
-        reset();
-        pid_ = other.pid_;
-        stdinFd_ = other.stdinFd_;
-        stdoutFd_ = other.stdoutFd_;
-        reaped_ = other.reaped_;
-        status_ = other.status_;
-        other.pid_ = -1;
-        other.stdinFd_ = -1;
-        other.stdoutFd_ = -1;
-        other.reaped_ = true;
+Subprocess::~Subprocess() {
+    if (outputFd_ >= 0) {
+        ::close(outputFd_);
     }
-    return *this;
-}
-
-Subprocess::~Subprocess() { reset(); }
-
-void Subprocess::reset() noexcept {
-    closeFd(stdinFd_);
-    closeFd(stdoutFd_);
     if (pid_ > 0 && !reaped_) {
         ::kill(pid_, SIGKILL);
         (void)::waitpid(pid_, &status_, 0);
-        reaped_ = true;
     }
-    pid_ = -1;
 }
 
-bool Subprocess::writeAll(std::string_view data) {
-    if (stdinFd_ < 0) {
-        return false;
-    }
-    std::size_t off = 0;
-    while (off < data.size()) {
-        const ssize_t n = ::write(stdinFd_, data.data() + off, data.size() - off);
+std::string Subprocess::readToEof() {
+    std::string out;
+    char buf[65536];
+    for (;;) {
+        const ssize_t n = ::read(outputFd_, buf, sizeof buf);
+        if (n < 0 && errno == EINTR) {
+            continue;
+        }
         if (n < 0) {
-            if (errno == EINTR) {
-                continue;
-            }
-            if (errno == EPIPE) {
-                return false;  // child is gone
-            }
-            throw SubprocessError(format("write to pid %d: %s",
-                                         static_cast<int>(pid_),
+            throw SubprocessError(format("read pid %d: %s", static_cast<int>(pid_),
                                          std::strerror(errno)));
         }
-        off += static_cast<std::size_t>(n);
+        if (n == 0) {
+            return out;  // EOF: the child closed its output
+        }
+        out.append(buf, static_cast<std::size_t>(n));
     }
-    return true;
-}
-
-std::optional<std::string> Subprocess::readAvailable(int timeoutMs) {
-    if (stdoutFd_ < 0) {
-        return std::nullopt;
-    }
-    struct pollfd pfd;
-    pfd.fd = stdoutFd_;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    int rc;
-    do {
-        rc = ::poll(&pfd, 1, timeoutMs);
-    } while (rc < 0 && errno == EINTR);
-    if (rc < 0) {
-        throw SubprocessError(format("poll pid %d: %s", static_cast<int>(pid_),
-                                     std::strerror(errno)));
-    }
-    if (rc == 0) {
-        return std::string();  // timeout: nothing available yet
-    }
-    char buf[65536];
-    ssize_t n;
-    do {
-        n = ::read(stdoutFd_, buf, sizeof buf);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) {
-        throw SubprocessError(format("read pid %d: %s", static_cast<int>(pid_),
-                                     std::strerror(errno)));
-    }
-    if (n == 0) {
-        return std::nullopt;  // EOF: child closed its stdout
-    }
-    return std::string(buf, static_cast<std::size_t>(n));
-}
-
-void Subprocess::kill(int signo) {
-    if (pid_ > 0 && !reaped_) {
-        ::kill(pid_, signo);
-    }
-}
-
-bool Subprocess::running() {
-    if (pid_ <= 0 || reaped_) {
-        return false;
-    }
-    int status = 0;
-    const pid_t r = ::waitpid(pid_, &status, WNOHANG);
-    if (r == pid_) {
-        status_ = status;
-        reaped_ = true;
-        return false;
-    }
-    return true;
 }
 
 int Subprocess::wait() {
@@ -250,18 +122,9 @@ int Subprocess::wait() {
     return status_;
 }
 
-void Subprocess::closeStdin() { closeFd(stdinFd_); }
-
 std::optional<int> waitStatusExited(int status) {
     if (WIFEXITED(status)) {
         return WEXITSTATUS(status);
-    }
-    return std::nullopt;
-}
-
-std::optional<int> waitStatusSignal(int status) {
-    if (WIFSIGNALED(status)) {
-        return WTERMSIG(status);
     }
     return std::nullopt;
 }

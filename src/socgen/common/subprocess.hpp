@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -9,84 +8,51 @@
 
 namespace socgen {
 
-/// One spawned child process with pipe-connected stdin/stdout — the
-/// primitive under the worker fleet. fork/exec only (no shell, no
-/// `system()`): the argv is executed verbatim, stderr is inherited so a
-/// worker's diagnostics land in the parent's stderr.
+/// One spawned tool invocation (a compiler, a `--version` probe) whose
+/// combined stdout and stderr the caller reads to EOF and then reaps.
+/// fork/exec only (no shell, no `system()`): the argv is executed
+/// verbatim. The child's stdin is /dev/null and its stderr is always
+/// merged into its stdout, so diagnostics can be attached to a thrown
+/// error instead of spilling to the terminal.
 ///
 /// Lifecycle contract:
 ///  - spawn() throws SubprocessError when the executable cannot be
 ///    exec'd (reported through a CLOEXEC status pipe, so "no such
 ///    binary" is a clean throw in the parent, not a dead child);
 ///  - the destructor never leaks a zombie: a still-running child is
-///    SIGKILLed and reaped;
-///  - writes never raise SIGPIPE (disposition set to ignore on first
-///    spawn); a write to a dead child returns false instead.
+///    SIGKILLed and reaped.
 class Subprocess {
 public:
-    struct SpawnOptions {
-        /// Route the child's stderr into its stdout pipe instead of
-        /// inheriting the parent's. For tool invocations (compilers,
-        /// probes) whose diagnostics the caller wants to capture and
-        /// attach to a thrown error rather than spill to the terminal.
-        bool mergeStderrIntoStdout = false;
-    };
-
-    /// Forks and execs `argv` (argv[0] is the executable path). The
-    /// child's stdin/stdout are pipes owned by this object; its stderr
-    /// is inherited (or merged into stdout, see SpawnOptions).
+    /// Forks and execs `argv` (argv[0] is the executable, looked up on
+    /// PATH). The child's stdout and stderr share one pipe owned by this
+    /// object.
     [[nodiscard]] static Subprocess spawn(const std::vector<std::string>& argv);
-    [[nodiscard]] static Subprocess spawn(const std::vector<std::string>& argv,
-                                          const SpawnOptions& options);
 
-    Subprocess(Subprocess&& other) noexcept;
-    Subprocess& operator=(Subprocess&& other) noexcept;
     Subprocess(const Subprocess&) = delete;
     Subprocess& operator=(const Subprocess&) = delete;
     ~Subprocess();
 
-    [[nodiscard]] pid_t pid() const { return pid_; }
-
-    /// Writes all of `data` to the child's stdin. Returns false if the
-    /// child is gone (EPIPE) — the caller treats that as a dead worker,
-    /// not an error. Throws SubprocessError on any other IO failure.
-    bool writeAll(std::string_view data);
-
-    /// Waits up to `timeoutMs` for the child's stdout to become
-    /// readable, then reads whatever is available (up to 64 KiB).
-    /// Returns: bytes (possibly empty on timeout); nullopt on EOF — the
-    /// child closed its end (exited or was killed). timeoutMs 0 polls.
-    [[nodiscard]] std::optional<std::string> readAvailable(int timeoutMs);
-
-    /// Sends `signo` (e.g. SIGKILL) to the child. No-op once reaped.
-    void kill(int signo);
-
-    /// Non-blocking liveness probe; reaps the child if it has exited.
-    [[nodiscard]] bool running();
+    /// Blocks until the child closes its output (normally: it exited)
+    /// and returns everything it wrote. Throws SubprocessError on an IO
+    /// failure.
+    [[nodiscard]] std::string readToEof();
 
     /// Blocks until the child exits and reaps it; returns the raw
-    /// waitpid status (see waitStatusExited/waitStatusSignal). Returns
-    /// the cached status if already reaped.
+    /// waitpid status (see waitStatusExited). Returns the cached status
+    /// if already reaped.
     int wait();
 
-    /// Closes the child's stdin pipe (EOF to the child) without waiting.
-    void closeStdin();
-
 private:
-    Subprocess() = default;
-    void reset() noexcept;
+    Subprocess(pid_t pid, int outputFd) : pid_(pid), outputFd_(outputFd) {}
 
     pid_t pid_ = -1;
-    int stdinFd_ = -1;
-    int stdoutFd_ = -1;
+    int outputFd_ = -1;
     bool reaped_ = false;
     int status_ = 0;
 };
 
-/// Decodes a waitpid status: exit code if the child exited normally.
+/// Decodes a waitpid status: exit code if the child exited normally,
+/// nullopt if a signal killed it.
 [[nodiscard]] std::optional<int> waitStatusExited(int status);
-
-/// Decodes a waitpid status: signal number if the child was killed.
-[[nodiscard]] std::optional<int> waitStatusSignal(int status);
 
 } // namespace socgen

@@ -92,41 +92,6 @@ void ArtifactStore::store(const std::string& key, const hls::HlsResult& result) 
     }
 }
 
-std::uint64_t ArtifactStore::acquireLease(const std::string& key) const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return ++leases_[key];
-}
-
-std::uint64_t ArtifactStore::currentLease(const std::string& key) const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = leases_.find(key);
-    return it == leases_.end() ? 0 : it->second;
-}
-
-void ArtifactStore::storeFenced(const std::string& key, const hls::HlsResult& result,
-                                std::uint64_t leaseEpoch) const {
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = leases_.find(key);
-        const std::uint64_t current = it == leases_.end() ? 0 : it->second;
-        if (leaseEpoch < current) {
-            ++staleCommitsRejected_;
-            Logger::global().warn(format("store: rejected stale commit of %s "
-                                         "(lease epoch %llu < current %llu) — zombie "
-                                         "worker fenced off",
-                                         key.c_str(),
-                                         static_cast<unsigned long long>(leaseEpoch),
-                                         static_cast<unsigned long long>(current)));
-            throw StaleLeaseError(format("commit of %s carries epoch %llu, current "
-                                         "lease is %llu",
-                                         key.c_str(),
-                                         static_cast<unsigned long long>(leaseEpoch),
-                                         static_cast<unsigned long long>(current)));
-        }
-    }
-    store(key, result);
-}
-
 bool ArtifactStore::contains(const std::string& key) const {
     return blobs_.contains(key);
 }
@@ -164,11 +129,6 @@ std::size_t ArtifactStore::quarantinedObjects() const {
 
 std::vector<ArtifactStore::QuarantineRecord> ArtifactStore::quarantineRecords() const {
     return blobs_.quarantineRecords();
-}
-
-std::size_t ArtifactStore::staleCommitsRejected() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return staleCommitsRejected_;
 }
 
 void ArtifactStore::corruptObject(const std::string& key) const {

@@ -4,9 +4,6 @@
 #include "socgen/hls/serialize.hpp"
 #include "socgen/soc/device.hpp"
 
-#include <cstdint>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,8 +20,8 @@ namespace socgen::core {
 /// The bytes-on-disk machinery (sharded layout, atomic writes, digest
 /// verification, quarantine, temp reclamation, flat-object migration)
 /// lives in the generic socgen::BlobStore; this class layers the
-/// HlsResult codec, key derivation, and worker-fleet lease fencing on
-/// top of it. The on-disk format is unchanged from before the split.
+/// HlsResult codec and key derivation on top of it. The on-disk format
+/// is unchanged from before the split.
 ///
 /// Durability contract:
 ///  - writes are atomic (temp file + rename), so a crash mid-store leaves
@@ -33,13 +30,7 @@ namespace socgen::core {
 ///    corrupted object is *quarantined* (moved to `quarantine/<key>.art`,
 ///    recorded as a QuarantineRecord) and reported as a miss, so the
 ///    caller transparently re-synthesizes — corruption is never silently
-///    loaded and never silently discarded;
-///  - commits from the out-of-process worker fleet are fenced by lease
-///    epochs: acquireLease() hands out a per-key monotonic epoch at each
-///    dispatch, and storeFenced() rejects (StaleLeaseError) any commit
-///    bearing an epoch older than the key's current lease — a zombie
-///    worker resurrected after its kill cannot clobber the retried
-///    attempt's artifact.
+///    loaded and never silently discarded.
 class ArtifactStore {
 public:
     /// Opens (and lazily creates) a store rooted at `rootDir`. Opening
@@ -81,21 +72,6 @@ public:
     /// object (including a corrupt one).
     void store(const std::string& key, const hls::HlsResult& result) const;
 
-    /// Hands out the next lease epoch for `key` (1, 2, 3, ...). Every
-    /// dispatch of an attempt to an out-of-process worker takes a fresh
-    /// lease; a re-dispatch after a kill takes a newer one, fencing off
-    /// the corpse's eventual commit.
-    [[nodiscard]] std::uint64_t acquireLease(const std::string& key) const;
-
-    /// The most recently issued lease epoch for `key` (0 if none).
-    [[nodiscard]] std::uint64_t currentLease(const std::string& key) const;
-
-    /// Fenced store: commits only if `leaseEpoch` is the key's current
-    /// lease; otherwise counts the rejection, logs it, and throws
-    /// StaleLeaseError without touching the object.
-    void storeFenced(const std::string& key, const hls::HlsResult& result,
-                     std::uint64_t leaseEpoch) const;
-
     [[nodiscard]] bool contains(const std::string& key) const;
 
     /// Number of objects currently on disk.
@@ -113,9 +89,6 @@ public:
     using QuarantineRecord = BlobStore::QuarantineRecord;
     [[nodiscard]] std::size_t quarantinedObjects() const;
     [[nodiscard]] std::vector<QuarantineRecord> quarantineRecords() const;
-
-    /// Fenced commits rejected as stale (this store instance's lifetime).
-    [[nodiscard]] std::size_t staleCommitsRejected() const;
 
     /// Test/fault-injection hook: flips one payload byte of the stored
     /// object so the next load fails digest validation. Throws
@@ -140,10 +113,6 @@ public:
 
 private:
     BlobStore blobs_;
-
-    mutable std::mutex mutex_;
-    mutable std::map<std::string, std::uint64_t> leases_;
-    mutable std::size_t staleCommitsRejected_ = 0;
 };
 
 } // namespace socgen::core

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,8 +26,6 @@ struct FlowDiagnostics {
         bool storeHit = false;     ///< served from the persistent ArtifactStore
         bool resumedFromJournal = false;  ///< store hit confirmed by a prior
                                           ///< run's journal commit record
-        bool remoteWorker = false;  ///< synthesized by an out-of-process worker
-        std::uint64_t leaseEpoch = 0;  ///< lease epoch of the remote dispatch
         std::string artifactKey;   ///< content key (empty if key not derived)
     };
 

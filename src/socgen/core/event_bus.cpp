@@ -23,7 +23,6 @@ const char* toString(FlowEventKind kind) {
     case FlowEventKind::ArtifactRejected: return "artifact-rejected";
     case FlowEventKind::DigestMismatch: return "digest-mismatch";
     case FlowEventKind::ArtifactQuarantined: return "artifact-quarantined";
-    case FlowEventKind::RemoteSynthesis: return "remote-synthesis";
     }
     return "unknown";
 }
@@ -77,7 +76,6 @@ void LogSubscriber::onEvent(const FlowEvent& event) {
         break;
     case FlowEventKind::CacheHit:
     case FlowEventKind::StoreHit:
-    case FlowEventKind::RemoteSynthesis:
         Logger::global().info("flow: " + event.render());
         break;
     default:

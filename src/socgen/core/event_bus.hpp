@@ -30,7 +30,6 @@ enum class FlowEventKind {
     ArtifactRejected,  ///< a stored object failed validation; detail = why
     DigestMismatch,    ///< recomputed output differs from the journal's commit
     ArtifactQuarantined, ///< a corrupt object was moved to quarantine/; detail = why
-    RemoteSynthesis,   ///< served by an out-of-process worker; detail = lease epoch
 };
 
 [[nodiscard]] const char* toString(FlowEventKind kind);

@@ -303,29 +303,6 @@ Flow::HlsAttemptOut Flow::hlsKernelAttempt(const hls::Kernel& kernel,
         throw HlsError(
             format("injected transient HLS failure for kernel \"%s\"", label.c_str()));
     }
-    if (options_.remoteHls != nullptr) {
-        // Dispatch to the out-of-process worker fleet. A fleet that
-        // cannot serve (no spawnable workers, redispatch budget blown)
-        // degrades gracefully to the in-process engine below; a genuine
-        // synthesis failure (HlsError) propagates exactly like an
-        // in-process one. Processes of a network ship as plain kernels,
-        // so the wire protocol is untouched by the network model.
-        try {
-            RemoteSynthesis remote =
-                options_.remoteHls->synthesize(kernel, directives, out.artifactKey);
-            out.result = std::move(remote.result);
-            out.leaseEpoch = remote.leaseEpoch;
-            out.remoteWorker = true;
-            out.toolSeconds = out.result.toolSeconds;
-            out.fromEngine = true;
-            simulateToolWait(out.toolSeconds);
-            return out;
-        } catch (const WorkerUnavailableError& e) {
-            Logger::global().warn(format("hls: worker fleet unavailable for %s (%s); "
-                                         "falling back to in-process synthesis",
-                                         label.c_str(), e.what()));
-        }
-    }
     out.result = engine_.synthesize(kernel, directives);
     out.toolSeconds = out.result.toolSeconds;
     out.fromEngine = true;
@@ -338,14 +315,7 @@ void Flow::hlsPersist(const HlsAttemptOut& out) {
         cache_->store(out.artifactKey, out.result);
     }
     if (store_ != nullptr && out.fromEngine) {
-        if (out.leaseEpoch > 0) {
-            // Remote result: fenced commit. Only the epoch of the live
-            // dispatch may land; a zombie worker's resurrected commit
-            // throws StaleLeaseError instead of clobbering the artifact.
-            store_->storeFenced(out.artifactKey, out.result, out.leaseEpoch);
-        } else {
-            store_->store(out.artifactKey, out.result);
-        }
+        store_->store(out.artifactKey, out.result);
     }
 }
 
@@ -603,12 +573,6 @@ FlowResult Flow::run(const std::string& projectName, const TaskGraph& graph) {
                         event.detail = a.rejectedWhy;
                         bus.publish(event);
                     }
-                    if (a.remoteWorker) {
-                        event.kind = FlowEventKind::RemoteSynthesis;
-                        event.detail = format("lease epoch %llu",
-                                              static_cast<unsigned long long>(a.leaseEpoch));
-                        bus.publish(event);
-                    }
                     if (a.cacheHit || a.storeHit) {
                         event.kind = a.cacheHit ? FlowEventKind::CacheHit
                                                 : FlowEventKind::StoreHit;
@@ -715,7 +679,6 @@ FlowResult Flow::run(const std::string& projectName, const TaskGraph& graph) {
                         allCache = allCache && po.cacheHit;
                         anyStore = anyStore || po.storeHit;
                         allJournal = allJournal && (po.resumedFromJournal || po.cacheHit);
-                        outcome.remoteWorker = outcome.remoteWorker || po.remoteWorker;
                         outcome.toolSeconds += po.toolSeconds;
                         outcome.attempts += po.attempts;
                     }

@@ -5,7 +5,6 @@
 #include "socgen/core/event_bus.hpp"
 #include "socgen/core/htg.hpp"
 #include "socgen/core/journal.hpp"
-#include "socgen/core/remote_hls.hpp"
 #include "socgen/core/stage_graph.hpp"
 #include "socgen/core/supervisor.hpp"
 #include "socgen/core/synth_gate.hpp"
@@ -112,7 +111,7 @@ struct FlowOptions {
     /// Shared persistent artifact store. When set, the flow uses it
     /// instead of creating a private store under outputDir — the flow
     /// service points every tenant at one store so identical HLS work
-    /// is paid for once across the fleet. Content-addressed keys make
+    /// is paid for once across tenants. Content-addressed keys make
     /// this safe: a hit is valid no matter which tenant produced it.
     std::shared_ptr<ArtifactStore> sharedStore;
 
@@ -126,13 +125,6 @@ struct FlowOptions {
     /// `jobs` is ignored — the service's shared pool owns concurrency
     /// and cross-tenant fairness.
     std::shared_ptr<StageScheduler> stageScheduler;
-
-    /// Out-of-process synthesis: when set, HLS attempts dispatch to this
-    /// executor (the service's worker fleet) instead of the in-process
-    /// engine. WorkerUnavailableError from the executor degrades the
-    /// attempt back to in-process synthesis — the fleet accelerates and
-    /// crash-isolates, it never gates correctness.
-    std::shared_ptr<RemoteHlsExecutor> remoteHls;
 };
 
 /// Everything one flow run produces — the contents of the generated
@@ -200,8 +192,7 @@ private:
     /// from, as the HlsOutcome the commit records. Produced inside the
     /// supervised attempt (pure — no shared writes); consumed by the
     /// commit phase, which persists the result and publishes the reuse
-    /// events exactly once. A non-zero `leaseEpoch` makes the commit use
-    /// ArtifactStore::storeFenced, which rejects zombie commits.
+    /// events exactly once.
     struct HlsAttemptOut : FlowDiagnostics::HlsOutcome {
         hls::HlsResult result;
         bool fromEngine = false;   ///< synthesized by the engine this attempt

@@ -108,13 +108,6 @@ struct Stmt {
     std::vector<StmtId> elseBody;  ///< If else-branch
 };
 
-class Kernel;
-
-/// Wire-transport decoder (defined in serialize.cpp); a friend of Kernel
-/// because it reconstitutes the IR vectors directly instead of replaying
-/// builder calls.
-[[nodiscard]] Kernel decodeKernel(std::string_view bytes);
-
 /// A complete kernel: signature (ports), locals, and a structured body.
 /// Construct via KernelBuilder; validate with hls::verify().
 class Kernel {
@@ -144,7 +137,6 @@ public:
 
 private:
     friend class KernelBuilder;
-    friend Kernel decodeKernel(std::string_view bytes);
 
     std::string name_;
     std::vector<KernelPort> ports_;

@@ -8,7 +8,7 @@ namespace socgen::hls {
 namespace {
 
 // The byte-stream primitives (BinWriter/BinReader) live in
-// common/binio.hpp, shared with the worker wire protocol. The reader
+// common/binio.hpp. The reader
 // throws CodecError; decodeHlsResult converts that to ArtifactError so
 // store callers keep one error type for "corrupt object".
 
@@ -371,166 +371,6 @@ HlsResult decodeHlsResult(std::string_view bytes) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Kernel / Directives transport codecs (worker wire protocol).
-
-std::string encodeKernel(const Kernel& kernel) {
-    BinWriter w;
-    w.u32(kKernelCodecVersion);
-    w.str(kernel.name());
-    w.vec(kernel.ports(), [&](const KernelPort& p) { putPort(w, p); });
-    w.vec(kernel.vars(), [&](const KernelVar& v) {
-        w.str(v.name);
-        w.u32(v.width);
-    });
-    w.vec(kernel.arrays(), [&](const KernelArray& a) {
-        w.str(a.name);
-        w.u64(a.depth);
-        w.u32(a.width);
-    });
-    w.vec(kernel.exprs(), [&](const Expr& e) {
-        w.u32(static_cast<std::uint32_t>(e.kind));
-        w.i64(e.value);
-        w.u32(static_cast<std::uint32_t>(e.bop));
-        w.u32(static_cast<std::uint32_t>(e.uop));
-        w.u32(e.var);
-        w.u32(e.port);
-        w.u32(e.array);
-        w.u32(e.a);
-        w.u32(e.b);
-        w.u32(e.c);
-    });
-    w.vec(kernel.stmts(), [&](const Stmt& s) {
-        w.u32(static_cast<std::uint32_t>(s.kind));
-        w.u32(s.var);
-        w.u32(s.port);
-        w.u32(s.array);
-        w.u32(s.index);
-        w.u32(s.value);
-        w.vec(s.body, [&](StmtId id) { w.u32(id); });
-        w.vec(s.elseBody, [&](StmtId id) { w.u32(id); });
-    });
-    w.vec(kernel.body(), [&](StmtId id) { w.u32(id); });
-    return w.take();
-}
-
-Kernel decodeKernel(std::string_view bytes) {
-    BinReader r(bytes);
-    const std::uint32_t version = r.u32();
-    if (version != kKernelCodecVersion) {
-        throw CodecError(format("kernel codec mismatch: payload v%u, expected v%u",
-                                version, kKernelCodecVersion));
-    }
-    Kernel k(r.str());
-    k.ports_ = r.vec<KernelPort>([&] { return getPort(r); });
-    k.vars_ = r.vec<KernelVar>([&] {
-        KernelVar v;
-        v.name = r.str();
-        v.width = r.u32();
-        return v;
-    });
-    k.arrays_ = r.vec<KernelArray>([&] {
-        KernelArray a;
-        a.name = r.str();
-        a.depth = r.u64();
-        a.width = r.u32();
-        return a;
-    });
-    k.exprs_ = r.vec<Expr>([&] {
-        Expr e;
-        e.kind = static_cast<ExprKind>(r.u32());
-        e.value = r.i64();
-        e.bop = static_cast<BinOp>(r.u32());
-        e.uop = static_cast<UnOp>(r.u32());
-        e.var = r.u32();
-        e.port = r.u32();
-        e.array = r.u32();
-        e.a = r.u32();
-        e.b = r.u32();
-        e.c = r.u32();
-        return e;
-    });
-    k.stmts_ = r.vec<Stmt>([&] {
-        Stmt s;
-        s.kind = static_cast<StmtKind>(r.u32());
-        s.var = r.u32();
-        s.port = r.u32();
-        s.array = r.u32();
-        s.index = r.u32();
-        s.value = r.u32();
-        s.body = r.vec<StmtId>([&] { return r.u32(); });
-        s.elseBody = r.vec<StmtId>([&] { return r.u32(); });
-        return s;
-    });
-    k.body_ = r.vec<StmtId>([&] { return r.u32(); });
-    r.expectEnd();
-    return k;
-}
-
-std::string encodeDirectives(const Directives& d) {
-    BinWriter w;
-    w.u32(kDirectivesCodecVersion);
-    w.f64(d.clockNs);
-    w.u32(static_cast<std::uint32_t>(d.scheduler));
-    w.u8(d.pipelineLoops ? 1 : 0);
-    w.u8(d.enableOptimizer ? 1 : 0);
-    w.i64(d.maxMulUnits);
-    w.i64(d.maxDivUnits);
-    w.i64(d.memPortsPerArray);
-    w.i64(d.defaultTripCount);
-    w.u64(d.tripCountHints.size());
-    for (const auto& [loop, trip] : d.tripCountHints) {
-        w.str(loop);
-        w.i64(trip);
-    }
-    w.u64(d.unrollFactors.size());
-    for (const auto& [loop, factor] : d.unrollFactors) {
-        w.str(loop);
-        w.i64(factor);
-    }
-    w.u64(d.interfaces.size());
-    for (const auto& [port, protocol] : d.interfaces) {
-        w.str(port);
-        w.u32(static_cast<std::uint32_t>(protocol));
-    }
-    return w.take();
-}
-
-Directives decodeDirectives(std::string_view bytes) {
-    BinReader r(bytes);
-    const std::uint32_t version = r.u32();
-    if (version != kDirectivesCodecVersion) {
-        throw CodecError(format("directives codec mismatch: payload v%u, expected v%u",
-                                version, kDirectivesCodecVersion));
-    }
-    Directives d;
-    d.clockNs = r.f64();
-    d.scheduler = static_cast<SchedulerKind>(r.u32());
-    d.pipelineLoops = r.u8() != 0;
-    d.enableOptimizer = r.u8() != 0;
-    d.maxMulUnits = static_cast<int>(r.i64());
-    d.maxDivUnits = static_cast<int>(r.i64());
-    d.memPortsPerArray = static_cast<int>(r.i64());
-    d.defaultTripCount = r.i64();
-    const std::uint64_t trips = r.size();
-    for (std::uint64_t i = 0; i < trips; ++i) {
-        std::string loop = r.str();
-        d.tripCountHints[std::move(loop)] = r.i64();
-    }
-    const std::uint64_t unrolls = r.size();
-    for (std::uint64_t i = 0; i < unrolls; ++i) {
-        std::string loop = r.str();
-        d.unrollFactors[std::move(loop)] = static_cast<int>(r.i64());
-    }
-    const std::uint64_t ifaces = r.size();
-    for (std::uint64_t i = 0; i < ifaces; ++i) {
-        std::string port = r.str();
-        d.interfaces[std::move(port)] = static_cast<InterfaceProtocol>(r.u32());
-    }
-    r.expectEnd();
-    return d;
-}
-
 Digest128 fingerprintKernel(const Kernel& kernel) {
     HashStream h;
     h.field(std::string_view("socgen-kernel-v1"));
@@ -618,74 +458,6 @@ Digest128 fingerprintDirectives(const Directives& d) {
         h.field(static_cast<std::uint64_t>(protocol));
     }
     return h.digest();
-}
-
-std::string encodeProcessNetwork(const ProcessNetwork& network) {
-    BinWriter w;
-    w.u32(kNetworkCodecVersion);
-    w.str(network.name());
-    w.vec(network.processes(), [&](const Process& p) {
-        w.str(p.name);
-        w.str(encodeKernel(p.kernel));
-    });
-    w.vec(network.channels(), [&](const NetworkChannel& c) {
-        w.str(c.name);
-        w.str(c.fromProcess);
-        w.str(c.fromPort);
-        w.str(c.toProcess);
-        w.str(c.toPort);
-        w.u32(c.width);
-        w.u32(c.depth);
-        w.u32(c.initialTokens);
-    });
-    w.vec(network.bindings(), [&](const NetworkBinding& b) {
-        w.str(b.networkPort);
-        w.str(b.process);
-        w.str(b.processPort);
-    });
-    return w.take();
-}
-
-ProcessNetwork decodeProcessNetwork(std::string_view bytes) {
-    BinReader r(bytes);
-    const std::uint32_t version = r.u32();
-    if (version != kNetworkCodecVersion) {
-        throw CodecError(format("network codec mismatch: payload v%u, expected v%u",
-                                version, kNetworkCodecVersion));
-    }
-    ProcessNetwork net(r.str());
-    const std::uint64_t processes = r.size();
-    for (std::uint64_t i = 0; i < processes; ++i) {
-        std::string name = r.str();
-        Kernel kernel = decodeKernel(r.str());
-        net.addProcess(std::move(name), std::move(kernel));
-    }
-    const std::uint64_t channels = r.size();
-    for (std::uint64_t i = 0; i < channels; ++i) {
-        NetworkChannel c;
-        c.name = r.str();
-        c.fromProcess = r.str();
-        c.fromPort = r.str();
-        c.toProcess = r.str();
-        c.toPort = r.str();
-        c.width = r.u32();
-        c.depth = r.u32();
-        c.initialTokens = r.u32();
-        net.connect(std::move(c));
-    }
-    const std::uint64_t bindings = r.size();
-    for (std::uint64_t i = 0; i < bindings; ++i) {
-        std::string networkPort = r.str();
-        std::string process = r.str();
-        std::string processPort = r.str();
-        net.exportPort(std::move(networkPort), std::move(process), std::move(processPort));
-    }
-    r.expectEnd();
-    // A payload that frames correctly can still describe a broken network
-    // (dangling ports, scalar channels, token-free cycles); decode refuses
-    // to hand such a thing to the caller.
-    net.verify();
-    return net;
 }
 
 Digest128 fingerprintNetwork(const ProcessNetwork& network) {

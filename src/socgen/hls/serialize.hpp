@@ -30,37 +30,6 @@ inline constexpr std::uint32_t kHlsResultCodecVersion = 2;
 /// truncation, trailing garbage, or version mismatch.
 [[nodiscard]] HlsResult decodeHlsResult(std::string_view bytes);
 
-/// Kernel/Directives transport codecs for the out-of-process worker
-/// fleet: a stage request ships the full kernel AST and directive set
-/// over the wire, so the worker synthesizes exactly what the service
-/// would have — including tenant-supplied kernels that exist in no
-/// library the worker could look up. Same versioning policy as the
-/// HlsResult codec: internal to one build, no cross-version support.
-inline constexpr std::uint32_t kKernelCodecVersion = 1;
-inline constexpr std::uint32_t kDirectivesCodecVersion = 1;
-
-[[nodiscard]] std::string encodeKernel(const Kernel& kernel);
-
-/// Decodes an encoded Kernel; throws socgen::CodecError on truncation,
-/// trailing garbage, or version mismatch.
-[[nodiscard]] Kernel decodeKernel(std::string_view bytes);
-
-[[nodiscard]] std::string encodeDirectives(const Directives& directives);
-
-/// Decodes an encoded Directives; throws socgen::CodecError.
-[[nodiscard]] Directives decodeDirectives(std::string_view bytes);
-
-/// ProcessNetwork transport codec: processes (nested kernel ASTs),
-/// channels and exports of one network node. Decoding validates the
-/// reconstructed network structurally (ProcessNetwork::verify), so a
-/// malformed or torn payload always surfaces as a named error —
-/// CodecError for framing damage, HlsError / ChannelDeadlockError for
-/// structures that frame correctly but describe an invalid network.
-inline constexpr std::uint32_t kNetworkCodecVersion = 1;
-
-[[nodiscard]] std::string encodeProcessNetwork(const ProcessNetwork& network);
-[[nodiscard]] ProcessNetwork decodeProcessNetwork(std::string_view bytes);
-
 /// Content fingerprint of a whole network: the network name, topology
 /// (channels with their depths/tokens, exports) and every process's
 /// kernel fingerprint. Any change to any process or to the wiring

@@ -284,18 +284,8 @@ namespace {
 /// Runs `argv` with stderr merged into stdout and returns (exit status,
 /// merged output). Throws SubprocessError if the binary cannot exec.
 std::pair<int, std::string> runTool(const std::vector<std::string>& argv) {
-    Subprocess::SpawnOptions options;
-    options.mergeStderrIntoStdout = true;
-    Subprocess p = Subprocess::spawn(argv, options);
-    p.closeStdin();
-    std::string out;
-    for (;;) {
-        const std::optional<std::string> chunk = p.readAvailable(60000);
-        if (!chunk.has_value()) {
-            break;  // EOF: the tool closed stdout (exited)
-        }
-        out += *chunk;
-    }
+    Subprocess p = Subprocess::spawn(argv);
+    std::string out = p.readToEof();
     return {p.wait(), std::move(out)};
 }
 

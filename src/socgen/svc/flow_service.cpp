@@ -1,6 +1,5 @@
 #include "socgen/svc/flow_service.hpp"
 
-#include "socgen/common/env.hpp"
 #include "socgen/common/error.hpp"
 #include "socgen/common/hash.hpp"
 #include "socgen/common/log.hpp"
@@ -156,6 +155,11 @@ std::uint64_t splitmix64(std::uint64_t x) {
 
 FlowService::FlowService(ServiceConfig config, const hls::KernelLibrary& kernels)
     : config_(std::move(config)), kernels_(kernels) {
+    if (config_.workers != 0) {
+        throw Error(format("service: workers = %u, but out-of-process stages are not "
+                           "supported; every stage runs in-process (set workers = 0)",
+                           config_.workers));
+    }
     store_ = std::make_shared<core::ArtifactStore>(config_.rootDir + "/store");
     if (config_.scrubOnOpen) {
         // Self-healing pass: verify every object in every shard before
@@ -172,19 +176,6 @@ FlowService::FlowService(ServiceConfig config, const hls::KernelLibrary& kernels
     cache_ = std::make_shared<core::HlsCache>();
     gate_ = std::make_shared<core::SynthGate>();
     pool_ = std::make_unique<SharedStagePool>(config_.stageWorkers);
-    unsigned workers = config_.workers;
-    if (const auto env = envUnsignedOrZero("SOCGEN_SVC_WORKERS")) {
-        workers = *env;
-    }
-    if (workers > 0) {
-        WorkerFleetConfig fleetConfig = config_.fleetConfig;
-        fleetConfig.workers = workers;
-        if (!config_.workerPath.empty()) {
-            fleetConfig.workerPath = config_.workerPath;
-        }
-        fleet_ = std::make_shared<WorkerFleet>(fleetConfig, store_);
-        Logger::global().info(format("service: worker fleet enabled (%u workers)", workers));
-    }
     const unsigned runners = config_.flowRunners < 1 ? 1 : config_.flowRunners;
     runners_.reserve(runners);
     for (unsigned i = 0; i < runners; ++i) {
@@ -204,7 +195,6 @@ FlowService::~FlowService() {
         runner.join();
     }
     pool_.reset();  // joins the stage workers (queues are empty by now)
-    fleet_.reset(); // then the worker fleet: no stage can dispatch anymore
 }
 
 std::string FlowService::requestPath(const std::string& id) const {
@@ -336,7 +326,6 @@ RequestOutcome FlowService::runFlow(const FlowRequest& request) {
     opts.sharedStore = store_;
     opts.synthGate = gate_;
     opts.stageScheduler = pool_->schedulerFor(request.tenant);
-    opts.remoteHls = fleet_;
     opts.stagePolicy = config_.stagePolicy;
     if (request.stageDeadlineMs > 0.0) {
         opts.stagePolicy.deadlineMs = request.stageDeadlineMs;

@@ -2,7 +2,6 @@
 
 #include "socgen/core/flow.hpp"
 #include "socgen/svc/stage_pool.hpp"
-#include "socgen/svc/worker_fleet.hpp"
 
 #include <condition_variable>
 #include <cstddef>
@@ -51,18 +50,12 @@ struct ServiceConfig {
     /// policy / faults are overwritten per request by the service.
     core::FlowOptions flowDefaults;
 
-    /// Out-of-process worker fleet size. 0 (the default) keeps every
-    /// stage in-process; overridable via SOCGEN_SVC_WORKERS (0 disables,
-    /// N spawns N socgen-worker processes). Workers that cannot be
-    /// spawned degrade the service gracefully back to in-process
-    /// execution — never to failure.
+    /// Must be 0: every stage runs in-process, and the constructor
+    /// throws on any other value rather than silently dropping the
+    /// isolation it asks for. Kept only because the service-mix
+    /// benchmark assigns it; delete with ROADMAP item 1's next benchmark
+    /// change.
     unsigned workers = 0;
-    /// socgen-worker binary; "" resolves via SOCGEN_WORKER_PATH, then
-    /// the build-time default.
-    std::string workerPath;
-    /// Fleet supervision knobs, forwarded to WorkerFleetConfig (the
-    /// workers/workerPath fields above take precedence).
-    WorkerFleetConfig fleetConfig;
 
     /// Run an ArtifactStore::scrub() pass at service start: every object
     /// in every shard is digest-verified, corrupt ones quarantined, so
@@ -189,10 +182,6 @@ public:
     [[nodiscard]] std::size_t synthDedupeWaits() const;
     [[nodiscard]] const core::ArtifactStore& store() const { return *store_; }
 
-    /// The out-of-process worker fleet (nullptr when workers == 0 or
-    /// SOCGEN_SVC_WORKERS=0).
-    [[nodiscard]] WorkerFleet* fleet() const { return fleet_.get(); }
-
     /// Objects the startup scrub quarantined (0 when scrubOnOpen off).
     [[nodiscard]] std::size_t scrubQuarantined() const { return scrubQuarantined_; }
 
@@ -226,7 +215,6 @@ private:
     std::shared_ptr<core::HlsCache> cache_;
     std::shared_ptr<core::SynthGate> gate_;
     std::unique_ptr<SharedStagePool> pool_;
-    std::shared_ptr<WorkerFleet> fleet_;
     std::size_t scrubQuarantined_ = 0;
 
     mutable std::mutex mutex_;

@@ -1,8 +1,6 @@
-// Sharded, self-healing artifact store tests (CTest labels:
-// resilience;worker-fleet): digest-prefix shard layout, flat-store
-// migration, read-path quarantine of corrupt objects, the scrub pass,
-// and the lease-epoch commit fence that keeps zombie workers from
-// clobbering retried attempts.
+// Sharded, self-healing artifact store tests (CTest label: resilience):
+// digest-prefix shard layout, flat-store migration, read-path
+// quarantine of corrupt objects, and the scrub pass.
 
 #include "socgen/apps/kernels.hpp"
 #include "socgen/common/error.hpp"
@@ -160,40 +158,6 @@ TEST(ArtifactStoreQuarantine, ScrubWalksAllShardsAndHeals) {
     const ArtifactStore::ScrubReport again = store.scrub();
     EXPECT_EQ(again.scanned, 2u);
     EXPECT_TRUE(again.quarantined.empty());
-}
-
-TEST(ArtifactStoreLeases, EpochsAreMonotonicPerKey) {
-    StoreFixture fx;
-    ArtifactStore store(fx.root);
-    const std::string a = fx.keyFor("v1");
-    const std::string b = fx.keyFor("v2");
-    EXPECT_EQ(store.currentLease(a), 0u);
-    EXPECT_EQ(store.acquireLease(a), 1u);
-    EXPECT_EQ(store.acquireLease(a), 2u);
-    EXPECT_EQ(store.acquireLease(b), 1u);  // independent per key
-    EXPECT_EQ(store.currentLease(a), 2u);
-}
-
-TEST(ArtifactStoreLeases, StaleEpochCommitIsRejectedAndLogged) {
-    StoreFixture fx;
-    ArtifactStore store(fx.root);
-    const std::string key = fx.keyFor("v1");
-
-    // Dispatch 1 takes epoch 1; the worker is presumed dead and the
-    // attempt re-dispatched under epoch 2, which commits.
-    const std::uint64_t zombieEpoch = store.acquireLease(key);
-    const std::uint64_t retryEpoch = store.acquireLease(key);
-    store.storeFenced(key, fx.result, retryEpoch);
-    ASSERT_TRUE(store.load(key).has_value());
-
-    // The zombie resurrects and tries its late commit: rejected without
-    // touching the object.
-    EXPECT_THROW(store.storeFenced(key, fx.result, zombieEpoch), StaleLeaseError);
-    EXPECT_EQ(store.staleCommitsRejected(), 1u);
-    EXPECT_TRUE(store.load(key).has_value());
-
-    // The current epoch may commit again (idempotent winner).
-    EXPECT_NO_THROW(store.storeFenced(key, fx.result, retryEpoch));
 }
 
 } // namespace

