@@ -7,9 +7,9 @@
 
 namespace socgen::axi {
 
-void StreamMonitor::sample() {
-    ++samples_;
-    occupancySum_ += channel_->size();
+void StreamMonitor::sample(std::uint64_t cycles) {
+    samples_ += cycles;
+    occupancySum_ += cycles * channel_->size();
     maxObservedFrameBeats_ =
         std::max(maxObservedFrameBeats_, channel_->beatsSinceLastTlast());
 }

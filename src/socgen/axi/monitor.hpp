@@ -1,6 +1,7 @@
 #pragma once
 
 #include "socgen/axi/stream.hpp"
+#include "socgen/sim/engine.hpp"
 
 #include <cstdint>
 #include <string>
@@ -8,16 +9,17 @@
 
 namespace socgen::axi {
 
-/// Protocol monitor for a StreamChannel: records per-cycle occupancy and
-/// checks conservation invariants (pushed == popped + in-flight, no beat
-/// loss/duplication). Tests attach one to every channel of a simulated
-/// system; SystemSimulator samples it each cycle.
-class StreamMonitor {
+/// Protocol monitor for a StreamChannel: records occupancy for every
+/// simulated cycle and checks conservation invariants (pushed == popped +
+/// in-flight, no beat loss/duplication). SystemSimulator registers one
+/// per channel as an engine probe; a quiet span, in which no beat moves,
+/// is credited as `cycles` samples of the unchanged occupancy.
+class StreamMonitor final : public sim::Probe {
 public:
     explicit StreamMonitor(const StreamChannel& channel) : channel_(&channel) {}
 
-    /// Samples the channel (call once per simulated cycle).
-    void sample();
+    /// Samples the channel for `cycles` cycles of unchanged state.
+    void sample(std::uint64_t cycles = 1) override;
 
     /// Throws SimulationError if an invariant is violated.
     void check() const;

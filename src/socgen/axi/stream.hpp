@@ -58,6 +58,12 @@ public:
     /// Returns false on an empty channel.
     bool dropFront();
 
+    /// Credits `cycles` refused handshakes at once: what `cycles` failed
+    /// tryPush / tryPop calls on an unchanged full / empty (or blocked)
+    /// channel would count. Used when the engine skips a quiet span.
+    void creditPushStalls(std::uint64_t cycles) { pushStalls_ += cycles; }
+    void creditPopStalls(std::uint64_t cycles) { popStalls_ += cycles; }
+
     // -- statistics ----------------------------------------------------------
     [[nodiscard]] std::uint64_t beatsPushed() const { return pushed_; }
     [[nodiscard]] std::uint64_t beatsPopped() const { return popped_; }

@@ -283,7 +283,9 @@ Flow::HlsAttemptOut Flow::hlsKernelAttempt(const hls::Kernel& kernel,
             // the result — followers then wake to a cache/store hit.
             SynthGate::Claim claim = options_.synthGate->claim(out.artifactKey);
             out.gateToken = std::move(claim.token);
-            if (claim.waited && tryReuse()) {
+            // Re-check even without a wait: a leader may have persisted
+            // and released between the tryReuse() above and this claim.
+            if (tryReuse()) {
                 // Release immediately: we are not going to synthesize, so
                 // other waiting followers can re-check right away.
                 out.gateToken.reset();

@@ -7,7 +7,6 @@ SynthGate::Claim SynthGate::claim(const std::string& key) {
     Claim out;
     if (leaders_.count(key) > 0) {
         ++waits_;
-        out.waited = true;
         cv_.wait(lock, [this, &key] { return leaders_.count(key) == 0; });
     }
     leaders_.insert(key);

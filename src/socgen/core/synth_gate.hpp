@@ -12,7 +12,8 @@ namespace socgen::core {
 /// In-flight HLS dedupe across concurrent flows sharing one artifact
 /// store: the first flow to claim an artifact key becomes its *leader*
 /// and synthesizes; any other flow claiming the same key blocks until
-/// the leader releases, then re-checks the cache/store instead of
+/// the leader releases. Every claimant then re-checks the cache/store
+/// (a leader may also have released just before the claim) instead of
 /// paying for the same synthesis twice. The persistent store dedupes
 /// *across* runs; this gate dedupes *within* a run, where two tenants
 /// submit the identical kernel seconds apart and the store object does
@@ -33,9 +34,6 @@ public:
         /// explicitly right after persisting the artifact, so followers
         /// wake to a store hit.
         std::shared_ptr<void> token;
-        /// True when a leader held the key while we arrived: the caller
-        /// should re-check its reuse paths before synthesizing.
-        bool waited = false;
     };
 
     /// Blocks while another flow leads `key`; returns with the caller

@@ -60,6 +60,28 @@ public:
     /// progress (it did not spend the whole cycle stalled on a stream).
     bool tick();
 
+    // -- quiet spans (plain kernels) -----------------------------------------
+    /// Cycles left in the current Cost wait: that many coming ticks only
+    /// count it down. 0 when no wait is pending.
+    [[nodiscard]] std::uint64_t pendingWait() const {
+        return running_ && waitCycles_ > 0 ? static_cast<std::uint64_t>(waitCycles_) : 0;
+    }
+    /// Index of the instruction the next tick executes first once no
+    /// wait is pending (a stalled stream access stays here).
+    [[nodiscard]] std::uint32_t pc() const { return pc_; }
+    /// Accounts `cycles` ticks exactly as that many tick() calls would,
+    /// for a plain kernel that is either counting down a Cost wait
+    /// (`cycles` <= pendingWait()) or stalled on the stream access at
+    /// pc() (the caller has checked its channel cannot move).
+    void skip(std::uint64_t cycles) {
+        cycles_ += cycles;
+        if (waitCycles_ > 0) {
+            waitCycles_ -= static_cast<std::int64_t>(cycles);
+        } else {
+            stalls_ += cycles;
+        }
+    }
+
     // -- statistics ----------------------------------------------------------
     [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
     [[nodiscard]] std::uint64_t stallCycles() const { return stalls_; }

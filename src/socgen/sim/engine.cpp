@@ -1,5 +1,6 @@
 #include "socgen/sim/engine.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -56,8 +57,8 @@ void Engine::add(Component& component) {
     lastProgress_.push_back(now_);
 }
 
-void Engine::addProbe(std::function<void()> probe) {
-    probes_.push_back(std::move(probe));
+void Engine::addProbe(Probe& probe) {
+    probes_.push_back(&probe);
 }
 
 void Engine::addChannelWatch(std::function<DeadlockReport::ChannelState()> watch) {
@@ -79,10 +80,46 @@ void Engine::stepOnce(bool& anyProgress, bool& allIdle) {
             break;
         }
     }
-    for (const auto& probe : probes_) {
-        probe();
+    for (Probe* probe : probes_) {
+        probe->sample(1);
     }
     ++now_;
+}
+
+std::uint64_t Engine::quietSpan(std::uint64_t limit) const {
+    std::uint64_t span = limit;
+    for (const Component* c : components_) {
+        span = std::min(span, c->quietFor());
+        if (span < 2) {
+            return 0;
+        }
+    }
+    for (const Probe* probe : probes_) {
+        span = std::min(span, probe->horizon());
+        if (span < 2) {
+            return 0;
+        }
+    }
+    // With everything idle the run ends on the next (real) step.
+    const bool allIdle = std::all_of(components_.begin(), components_.end(),
+                                     [](const Component* c) { return c->idle(); });
+    return allIdle ? 0 : span;
+}
+
+bool Engine::skipSpan(std::uint64_t cycles) {
+    bool anyProgress = false;
+    const std::uint64_t last = now_ + cycles - 1;
+    for (std::size_t i = 0; i < components_.size(); ++i) {
+        if (components_[i]->skip(cycles)) {
+            anyProgress = true;
+            lastProgress_[i] = last;
+        }
+    }
+    for (Probe* probe : probes_) {
+        probe->sample(cycles);
+    }
+    now_ += cycles;
+    return anyProgress;
 }
 
 DeadlockReport Engine::snapshot(std::uint64_t stallCycles) const {
@@ -106,9 +143,30 @@ DeadlockReport Engine::snapshot(std::uint64_t stallCycles) const {
 }
 
 std::uint64_t Engine::runUntilIdle(std::uint64_t maxCycles, std::uint64_t stallLimit) {
+    // After a cycle with no quiet span the search backs off (1, 2, 4, 8
+    // cycles) so busy stretches do not pay for a scan every cycle.
+    constexpr std::uint64_t kMaxBackoff = 8;
     const std::uint64_t start = now_;
     std::uint64_t stalledFor = 0;
+    std::uint64_t nextSearch = now_;
+    std::uint64_t backoff = 1;
     while (now_ - start < maxCycles) {
+        // A span stops one cycle short of the cycle budget and of the
+        // stall verdict, so both still fire on a real step.
+        const std::uint64_t limit =
+            stalledFor < stallLimit
+                ? std::min(maxCycles - (now_ - start), stallLimit - stalledFor) - 1
+                : 0;
+        if (limit >= 2 && now_ >= nextSearch) {
+            const std::uint64_t span = quietSpan(limit);
+            if (span >= 2) {
+                stalledFor = skipSpan(span) ? 0 : stalledFor + span;
+                backoff = 1;
+                continue;
+            }
+            nextSearch = now_ + backoff;
+            backoff = std::min(backoff * 2, kMaxBackoff);
+        }
         bool anyProgress = false;
         bool allIdle = true;
         stepOnce(anyProgress, allIdle);

@@ -1,7 +1,5 @@
 #include "socgen/sim/fault.hpp"
 
-#include "socgen/sim/engine.hpp"
-
 #include <algorithm>
 #include <sstream>
 
@@ -232,7 +230,19 @@ void FaultInjector::onFault(FaultKind kind, Handler handler) {
 
 void FaultInjector::attach(Engine& engine) {
     engine_ = &engine;
-    engine.addProbe([this] { pump(engine_->now()); });
+    engine.addProbe(*this);
+}
+
+void FaultInjector::sample(std::uint64_t cycles) {
+    pump(engine_->now() + cycles - 1);
+}
+
+std::uint64_t FaultInjector::horizon() const {
+    if (cursor_ >= pending_.size()) {
+        return kUnbounded;
+    }
+    const std::uint64_t due = pending_[cursor_].cycle;
+    return due > engine_->now() ? due - engine_->now() : 0;
 }
 
 void FaultInjector::schedule(FaultEvent event) {

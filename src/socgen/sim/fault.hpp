@@ -1,5 +1,7 @@
 #pragma once
 
+#include "socgen/sim/engine.hpp"
+
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -8,13 +10,12 @@
 
 namespace socgen::sim {
 
-class Engine;
-
 /// Kinds of faults the injector knows how to schedule. Cycle-level kinds
-/// are fired by the injector's engine probe; flow-level kinds
-/// (BitstreamCorrupt, HlsFailure) are consumed by the harness before the
-/// simulation starts (via FaultPlan::eventsOfKind) because they strike
-/// tool phases, not clocked hardware.
+/// are fired by the injector at their cycle (it is an engine probe whose
+/// horizon ends at the next due event, so no quiet span skips one).
+/// Flow-level kinds (BitstreamCorrupt, HlsFailure) are consumed by the
+/// harness before the simulation starts (via FaultPlan::eventsOfKind)
+/// because they strike tool phases, not clocked hardware.
 enum class FaultKind {
     StreamStall,      ///< block channel `target` push+pop for `a` cycles
     StreamResume,     ///< internal: unblock channel `target`
@@ -111,9 +112,10 @@ private:
 /// Executes a FaultPlan against a running Engine. The injector itself is
 /// substrate-agnostic: it knows nothing of AXI channels or DMAs. The SoC
 /// layer registers a handler per FaultKind (SystemSimulator::armFaults)
-/// and the injector dispatches due events from an engine probe, keeping
-/// sim free of upward dependencies.
-class FaultInjector {
+/// and the injector, registered as an engine probe, dispatches each event
+/// after the ticks of its cycle; its horizon() stops quiet spans short of
+/// the next pending event. That keeps sim free of upward dependencies.
+class FaultInjector final : private Probe {
 public:
     using Handler = std::function<void(const FaultEvent&)>;
 
@@ -125,7 +127,7 @@ public:
     /// Registers the callback that applies events of `kind`.
     void onFault(FaultKind kind, Handler handler);
 
-    /// Hooks the injector into the engine's probe list. Call once.
+    /// Registers the injector as a probe of `engine`. Call once.
     void attach(Engine& engine);
 
     /// Adds an event mid-run (used for scheduled StreamResume).
@@ -141,6 +143,10 @@ public:
     [[nodiscard]] std::string log() const;
 
 private:
+    // Probe
+    void sample(std::uint64_t cycles) override;
+    [[nodiscard]] std::uint64_t horizon() const override;
+
     void pump(std::uint64_t cycle);
 
     FaultPlan plan_;

@@ -6,7 +6,11 @@
 namespace socgen::soc {
 
 AcceleratorCore::AcceleratorCore(std::string name, const hls::Program& program)
-    : name_(std::move(name)), program_(program), vm_(program_, *this) {}
+    : name_(std::move(name)),
+      program_(program),
+      vm_(program_, *this),
+      streams_(program_.ports.size(), nullptr),
+      scalars_(program_.ports.size(), 0) {}
 
 hls::PortId AcceleratorCore::portIdOf(const std::string& portName) const {
     for (hls::PortId i = 0; i < program_.ports.size(); ++i) {
@@ -32,8 +36,7 @@ void AcceleratorCore::setArg(const std::string& portName, std::uint64_t value) {
 }
 
 std::uint64_t AcceleratorCore::result(const std::string& portName) const {
-    const auto it = scalars_.find(portIdOf(portName));
-    return it == scalars_.end() ? 0 : it->second;
+    return scalars_[portIdOf(portName)];
 }
 
 bool AcceleratorCore::tick() {
@@ -57,6 +60,53 @@ bool AcceleratorCore::idle() const {
     return !vm_.running();
 }
 
+axi::StreamChannel* AcceleratorCore::nextStreamAccess(bool& read) const {
+    const hls::Instr& next = program_.instrs[vm_.pc()];
+    read = next.op == hls::Opcode::StreamRead;
+    if (!read && next.op != hls::Opcode::StreamWrite) {
+        return nullptr;
+    }
+    return streams_[next.port];
+}
+
+std::uint64_t AcceleratorCore::quietFor() const {
+    if (!vm_.running()) {
+        return autoStart_ && !vm_.finished() ? 0 : sim::kUnbounded;
+    }
+    if (vm_.isNetwork()) {
+        return 0;
+    }
+    if (const std::uint64_t wait = vm_.pendingWait(); wait > 0) {
+        return wait;
+    }
+    bool read = false;
+    const axi::StreamChannel* channel = nextStreamAccess(read);
+    if (channel == nullptr) {
+        return 0;  // not a stream access, or unbound: a real tick throws
+    }
+    const bool stalled = read ? channel->empty() || channel->popBlocked()
+                              : channel->full() || channel->pushBlocked();
+    return stalled ? sim::kUnbounded : 0;
+}
+
+bool AcceleratorCore::skip(std::uint64_t cycles) {
+    if (!vm_.running()) {
+        return false;
+    }
+    const bool waiting = vm_.pendingWait() > 0;
+    if (!waiting) {
+        bool read = false;
+        axi::StreamChannel* channel = nextStreamAccess(read);
+        if (read) {
+            channel->creditPopStalls(cycles);
+        } else {
+            channel->creditPushStalls(cycles);
+        }
+    }
+    vm_.skip(cycles);
+    return waiting;  // a Cost wait is progress, a stream stall is not
+}
+
 std::uint32_t AcceleratorCore::readRegister(std::uint64_t offset) {
     if (offset == accreg::kCtrl) {
         std::uint32_t status = 0;
@@ -71,8 +121,7 @@ std::uint32_t AcceleratorCore::readRegister(std::uint64_t offset) {
     if (offset >= accreg::kArgBase && (offset - accreg::kArgBase) % 4 == 0) {
         const auto index = static_cast<std::uint32_t>((offset - accreg::kArgBase) / 4);
         if (index < program_.ports.size()) {
-            const auto it = scalars_.find(index);
-            return it == scalars_.end() ? 0 : static_cast<std::uint32_t>(it->second);
+            return static_cast<std::uint32_t>(scalars_[index]);
         }
     }
     throw SimulationError(format("%s: read of unknown register 0x%llx", name_.c_str(),
@@ -103,22 +152,25 @@ void AcceleratorCore::writeRegister(std::uint64_t offset, std::uint32_t value) {
 }
 
 std::uint64_t AcceleratorCore::argValue(hls::PortId port) {
-    const auto it = scalars_.find(port);
-    return it == scalars_.end() ? 0 : it->second;
+    return scalars_[port];
 }
 
 void AcceleratorCore::setResult(hls::PortId port, std::uint64_t value) {
     scalars_[port] = value;
 }
 
-bool AcceleratorCore::streamRead(hls::PortId port, std::uint64_t& value) {
-    const auto it = streams_.find(port);
-    if (it == streams_.end()) {
+axi::StreamChannel& AcceleratorCore::boundStream(hls::PortId port) const {
+    axi::StreamChannel* channel = streams_[port];
+    if (channel == nullptr) {
         throw SimulationError(format("%s: stream port '%s' not bound", name_.c_str(),
                                      program_.ports[port].name.c_str()));
     }
+    return *channel;
+}
+
+bool AcceleratorCore::streamRead(hls::PortId port, std::uint64_t& value) {
     axi::StreamBeat beat;
-    if (!it->second->tryPop(beat)) {
+    if (!boundStream(port).tryPop(beat)) {
         return false;
     }
     value = beat.data;
@@ -126,12 +178,7 @@ bool AcceleratorCore::streamRead(hls::PortId port, std::uint64_t& value) {
 }
 
 bool AcceleratorCore::streamWrite(hls::PortId port, std::uint64_t value) {
-    const auto it = streams_.find(port);
-    if (it == streams_.end()) {
-        throw SimulationError(format("%s: stream port '%s' not bound", name_.c_str(),
-                                     program_.ports[port].name.c_str()));
-    }
-    return it->second->tryPush(value, false);
+    return boundStream(port).tryPush(value, false);
 }
 
 } // namespace socgen::soc

@@ -6,8 +6,8 @@
 #include "socgen/sim/engine.hpp"
 #include "socgen/soc/irq.hpp"
 
-#include <map>
 #include <string>
+#include <vector>
 
 namespace socgen::soc {
 
@@ -61,6 +61,13 @@ public:
     [[nodiscard]] const std::string& name() const override { return name_; }
     bool tick() override;
     [[nodiscard]] bool idle() const override;
+    /// Quiet while not running (unless an auto-start core is about to
+    /// start), while the VM counts down a Cost wait, and while it is
+    /// stalled on a stream read of an empty (or blocked) channel or a
+    /// stream write to a full (or blocked) one. A process-network VM is
+    /// never quiet while it runs.
+    [[nodiscard]] std::uint64_t quietFor() const override;
+    bool skip(std::uint64_t cycles) override;
 
     // axi::LiteSlave
     [[nodiscard]] std::uint32_t readRegister(std::uint64_t offset) override;
@@ -74,12 +81,16 @@ private:
     bool streamWrite(hls::PortId port, std::uint64_t value) override;
 
     [[nodiscard]] hls::PortId portIdOf(const std::string& portName) const;
+    [[nodiscard]] axi::StreamChannel& boundStream(hls::PortId port) const;
+    /// The channel the VM is stalled on when its next instruction is a
+    /// stream access (nullptr otherwise); `read` tells the direction.
+    [[nodiscard]] axi::StreamChannel* nextStreamAccess(bool& read) const;
 
     std::string name_;
     hls::Program program_;  ///< owned copy (the VM holds a reference)
     hls::KernelVm vm_;
-    std::map<hls::PortId, axi::StreamChannel*> streams_;
-    std::map<hls::PortId, std::uint64_t> scalars_;  ///< args and results
+    std::vector<axi::StreamChannel*> streams_;  ///< by PortId; nullptr = unbound
+    std::vector<std::uint64_t> scalars_;        ///< by PortId: args and results
     bool autoStart_ = false;
     bool doneLatched_ = false;
     IrqLine* doneIrq_ = nullptr;

@@ -3,6 +3,8 @@
 #include "socgen/common/error.hpp"
 #include "socgen/common/strings.hpp"
 
+#include <algorithm>
+
 namespace socgen::soc {
 
 DmaEngine::DmaEngine(std::string name, Memory& memory, std::uint64_t wordsPerCycle)
@@ -163,6 +165,28 @@ bool DmaEngine::tick() {
     const bool a = tickMm2s();
     const bool b = tickS2mm();
     return a || b;
+}
+
+std::uint64_t DmaEngine::quietFor() const {
+    if (idle()) {
+        return sim::kUnbounded;  // a tick at most counts down a stall
+    }
+    const bool mm2sHeld = !mm2s_.active || mm2sDests_[mm2s_.route]->full() ||
+                          mm2sDests_[mm2s_.route]->pushBlocked();
+    const bool s2mmHeld = !s2mm_.active || s2mmSrcs_[s2mm_.route]->empty() ||
+                          s2mmSrcs_[s2mm_.route]->popBlocked();
+    return mm2sHeld && s2mmHeld ? sim::kUnbounded : stallRemaining_;
+}
+
+bool DmaEngine::skip(std::uint64_t cycles) {
+    const std::uint64_t frozen = std::min(cycles, stallRemaining_);
+    stallRemaining_ -= frozen;
+    // A held-off MM2S checks before it reads, so only S2MM's failed pop
+    // counts a stall.
+    if (cycles > frozen && s2mm_.active) {
+        s2mmSrcs_[s2mm_.route]->creditPopStalls(cycles - frozen);
+    }
+    return false;
 }
 
 bool DmaEngine::idle() const {

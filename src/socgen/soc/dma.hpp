@@ -51,6 +51,12 @@ public:
     [[nodiscard]] const std::string& name() const override { return name_; }
     bool tick() override;
     [[nodiscard]] bool idle() const override;
+    /// Quiet while idle, while an injected stall counts down, and while
+    /// every active channel is held off: MM2S by a full or blocked
+    /// destination, S2MM by an empty or blocked source (whose pop stall
+    /// each skipped cycle credits).
+    [[nodiscard]] std::uint64_t quietFor() const override;
+    bool skip(std::uint64_t cycles) override;
     [[nodiscard]] std::string debugState() const override;
 
     // axi::LiteSlave

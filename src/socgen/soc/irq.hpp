@@ -1,5 +1,7 @@
 #pragma once
 
+#include "socgen/sim/engine.hpp"
+
 #include <cstdint>
 #include <string>
 
@@ -11,9 +13,11 @@ namespace socgen::soc {
 /// acknowledged.
 ///
 /// Fault hooks model a flaky IRQ path: armDrop() swallows the next N
-/// edges outright, armDelay() holds the next edge for N cycles (the
-/// holder must call tickDelay() once per cycle — SystemSimulator does
-/// this via an engine probe).
+/// edges outright, armDelay() holds the next edge for N cycles. The
+/// holder advances a held edge with tickDelay() for every simulated
+/// cycle; SystemSimulator does so from an engine probe, which credits a
+/// quiet span in one call and ends spans before the edge is due
+/// (delayHorizon()).
 class IrqLine {
 public:
     explicit IrqLine(std::string name) : name_(std::move(name)) {}
@@ -45,14 +49,25 @@ public:
     void armDrop(std::uint64_t edges = 1) { dropArmed_ += edges; }
     void armDelay(std::uint64_t cycles) { delayArm_ = cycles; }
 
-    /// Advances a held (delayed) edge by one cycle; delivers it when the
-    /// delay expires. No-op unless a delayed edge is in flight.
-    void tickDelay() {
-        if (delayHeld_ && --delayRemaining_ == 0) {
+    /// Advances a held (delayed) edge by `cycles` (at most
+    /// delayHorizon() + 1) cycles; delivers it when the delay expires.
+    /// No-op unless a delayed edge is in flight.
+    void tickDelay(std::uint64_t cycles) {
+        if (!delayHeld_) {
+            return;
+        }
+        delayRemaining_ -= cycles;
+        if (delayRemaining_ == 0) {
             delayHeld_ = false;
             pending_ = true;
             ++raiseCount_;
         }
+    }
+
+    /// Cycles a held edge can be advanced without delivering it (the
+    /// remaining delay minus its last cycle); unbounded with none held.
+    [[nodiscard]] std::uint64_t delayHorizon() const {
+        return delayHeld_ ? delayRemaining_ - 1 : sim::kUnbounded;
     }
 
     [[nodiscard]] bool pending() const { return pending_; }

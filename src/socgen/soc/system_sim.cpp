@@ -3,6 +3,7 @@
 #include "socgen/common/error.hpp"
 #include "socgen/common/strings.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace socgen::soc {
@@ -104,7 +105,7 @@ SystemSimulator::SystemSimulator(const BlockDesign& design,
         engine_.add(*core);
     }
     for (auto& monitor : monitors_) {
-        engine_.addProbe([m = monitor.get()] { m->sample(); });
+        engine_.addProbe(*monitor);
     }
     for (auto& chan : channels_) {
         engine_.addChannelWatch([c = chan.get()] {
@@ -119,14 +120,27 @@ SystemSimulator::SystemSimulator(const BlockDesign& design,
             return state;
         });
     }
-    // Delayed IRQ edges (armDelay fault) need a per-cycle clock.
-    engine_.addProbe([this] {
-        for (auto* irqMap : {&mm2sIrqs_, &s2mmIrqs_, &coreIrqs_}) {
-            for (auto& [name, line] : *irqMap) {
-                line->tickDelay();
-            }
+    // Delayed IRQ edges (armDelay fault) run on the engine's clock.
+    for (auto* irqMap : {&mm2sIrqs_, &s2mmIrqs_, &coreIrqs_}) {
+        for (auto& [name, line] : *irqMap) {
+            irqDelayClock_.add(*line);
         }
-    });
+    }
+    engine_.addProbe(irqDelayClock_);
+}
+
+void SystemSimulator::IrqDelayClock::sample(std::uint64_t cycles) {
+    for (IrqLine* line : lines_) {
+        line->tickDelay(cycles);
+    }
+}
+
+std::uint64_t SystemSimulator::IrqDelayClock::horizon() const {
+    std::uint64_t horizon = sim::kUnbounded;
+    for (const IrqLine* line : lines_) {
+        horizon = std::min(horizon, line->delayHorizon());
+    }
+    return horizon;
 }
 
 AcceleratorCore& SystemSimulator::core(const std::string& name) {
@@ -148,6 +162,11 @@ DmaEngine& SystemSimulator::dma(const std::string& name) {
 axi::StreamChannel& SystemSimulator::channel(std::size_t index) {
     require(index < channels_.size(), "channel index out of range");
     return *channels_[index];
+}
+
+const axi::StreamMonitor& SystemSimulator::monitor(std::size_t index) const {
+    require(index < monitors_.size(), "monitor index out of range");
+    return *monitors_[index];
 }
 
 axi::StreamChannel* SystemSimulator::channelByName(const std::string& name) {

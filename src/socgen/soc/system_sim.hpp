@@ -53,6 +53,8 @@ public:
     [[nodiscard]] DmaEngine& dma(const std::string& name);
     [[nodiscard]] axi::StreamChannel& channel(std::size_t index);
     [[nodiscard]] std::size_t channelCount() const { return channels_.size(); }
+    /// Protocol monitor of channel `index` (requires attachMonitors).
+    [[nodiscard]] const axi::StreamMonitor& monitor(std::size_t index) const;
     [[nodiscard]] std::uint64_t baseAddressOf(const std::string& instance) const;
     /// Channel lookup by its "from -> to" name (used for fault targeting);
     /// returns nullptr when absent.
@@ -101,6 +103,19 @@ public:
     [[nodiscard]] std::uint64_t lastRunCycles() const { return lastRunCycles_; }
 
 private:
+    /// Engine probe that clocks delayed IRQ edges (the IrqDelay fault):
+    /// its horizon ends a quiet span on the cycle before the shortest
+    /// held delay delivers its edge.
+    class IrqDelayClock final : public sim::Probe {
+    public:
+        void add(IrqLine& line) { lines_.push_back(&line); }
+        void sample(std::uint64_t cycles) override;
+        [[nodiscard]] std::uint64_t horizon() const override;
+
+    private:
+        std::vector<IrqLine*> lines_;
+    };
+
     [[nodiscard]] std::uint32_t argIndexOf(const std::string& coreName,
                                            const std::string& portName) const;
 
@@ -118,6 +133,7 @@ private:
     std::map<std::string, std::unique_ptr<IrqLine>> coreIrqs_;
     std::map<std::string, std::unique_ptr<AcceleratorCore>> cores_;
     std::map<std::string, const hls::Program*> programs_;
+    IrqDelayClock irqDelayClock_;
     sim::Engine engine_;
     std::uint64_t lastRunCycles_ = 0;
 };

@@ -169,6 +169,35 @@ bool ZynqPs::tick() {
     return true;
 }
 
+std::uint64_t ZynqPs::quietFor() const {
+    if (busyFor_ > 0) {
+        return busyFor_ - 1;
+    }
+    if (irqWaitActive_) {
+        if (pollingOp_.irq->pending()) {
+            return 0;
+        }
+        if (irqWatchdog_ == 0) {
+            return sim::kUnbounded;
+        }
+        // The watchdog fires on the tick that brings tickCount_ to the
+        // deadline; every tick before it only sleeps.
+        const std::uint64_t deadline = waitStartTick_ + irqWatchdog_;
+        return deadline > tickCount_ + 1 ? deadline - tickCount_ - 1 : 0;
+    }
+    return idle() ? sim::kUnbounded : 0;
+}
+
+bool ZynqPs::skip(std::uint64_t cycles) {
+    tickCount_ += cycles;
+    if (busyFor_ > 0) {
+        busyFor_ -= cycles;
+        cyclesBusy_ += cycles;
+        return true;
+    }
+    return false;  // asleep on an IRQ, or idle
+}
+
 bool ZynqPs::idle() const {
     return program_.empty() && busyFor_ == 0 && !pollingActive_ && !irqWaitActive_;
 }

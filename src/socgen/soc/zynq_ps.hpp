@@ -73,6 +73,12 @@ public:
     [[nodiscard]] const std::string& name() const override { return name_; }
     bool tick() override;
     [[nodiscard]] bool idle() const override;
+    /// Quiet while counting down a task, delay, register access or poll
+    /// interval (bar the countdown's last tick, after which the PS may go
+    /// idle), while asleep on an IRQ that is not pending (up to the IRQ
+    /// watchdog's deadline), and while idle.
+    [[nodiscard]] std::uint64_t quietFor() const override;
+    bool skip(std::uint64_t cycles) override;
     [[nodiscard]] std::string debugState() const override;
 
     // -- statistics ----------------------------------------------------------
