@@ -7,11 +7,12 @@
 
 namespace socgen::axi {
 
-void StreamMonitor::sample(std::uint64_t cycles) {
-    samples_ += cycles;
-    occupancySum_ += cycles * channel_->size();
-    maxObservedFrameBeats_ =
-        std::max(maxObservedFrameBeats_, channel_->beatsSinceLastTlast());
+StreamMonitor::StreamMonitor(StreamChannel& channel, const sim::Engine* clock)
+    : channel_(&channel), clock_(clock) {
+    if (clock_ != nullptr) {
+        accounted_ = clock_->cyclesDone();
+        channel.setMonitor(this);
+    }
 }
 
 void StreamMonitor::check() const {
@@ -41,9 +42,11 @@ void StreamMonitor::check() const {
 }
 
 double StreamMonitor::averageOccupancy() const {
-    return samples_ == 0 ? 0.0
-                         : static_cast<double>(occupancySum_) /
-                               static_cast<double>(samples_);
+    const std::uint64_t cycles = pending();
+    const std::uint64_t samples = samples_ + cycles;
+    return samples == 0 ? 0.0
+                        : static_cast<double>(occupancySum_ + cycles * channel_->size()) /
+                              static_cast<double>(samples);
 }
 
 } // namespace socgen::axi

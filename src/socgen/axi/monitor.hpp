@@ -3,6 +3,7 @@
 #include "socgen/axi/stream.hpp"
 #include "socgen/sim/engine.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -11,15 +12,22 @@ namespace socgen::axi {
 
 /// Protocol monitor for a StreamChannel: records occupancy for every
 /// simulated cycle and checks conservation invariants (pushed == popped +
-/// in-flight, no beat loss/duplication). SystemSimulator registers one
-/// per channel as an engine probe; a quiet span, in which no beat moves,
-/// is credited as `cycles` samples of the unchanged occupancy.
-class StreamMonitor final : public sim::Probe {
+/// in-flight, no beat loss/duplication). SystemSimulator attaches one per
+/// channel with the engine as its clock: the channel tells it before each
+/// change, and it accounts the cycles since the last change with the state
+/// they ended in, so a cycle costs nothing unless a beat moves. Without a
+/// clock, sample() accounts cycles by hand.
+class StreamMonitor {
 public:
-    explicit StreamMonitor(const StreamChannel& channel) : channel_(&channel) {}
+    explicit StreamMonitor(StreamChannel& channel, const sim::Engine* clock = nullptr);
 
-    /// Samples the channel for `cycles` cycles of unchanged state.
-    void sample(std::uint64_t cycles = 1) override;
+    /// Accounts `cycles` cycles that ended in the channel's current state
+    /// (without a clock only).
+    void sample(std::uint64_t cycles = 1) {
+        samples_ += cycles;
+        occupancySum_ += cycles * channel_->size();
+        maxObservedFrameBeats_ = std::max(maxObservedFrameBeats_, channel_->beatsSinceLastTlast());
+    }
 
     /// Throws SimulationError if an invariant is violated.
     void check() const;
@@ -30,11 +38,29 @@ public:
     void setMaxFrameBeats(std::uint64_t beats) { maxFrameBeats_ = beats; }
 
     [[nodiscard]] double averageOccupancy() const;
-    [[nodiscard]] std::uint64_t samples() const { return samples_; }
+    [[nodiscard]] std::uint64_t samples() const { return samples_ + pending(); }
     [[nodiscard]] const StreamChannel& channel() const { return *channel_; }
 
 private:
+    friend class StreamChannel;
+
+    /// Accounts the clocked cycles not yet accounted, before the channel's
+    /// state changes.
+    void beforeChange() {
+        if (const std::uint64_t cycles = pending(); cycles > 0) {
+            sample(cycles);
+            accounted_ += cycles;
+        }
+    }
+    /// Clocked cycles that ended in the current state and are not yet
+    /// accounted.
+    [[nodiscard]] std::uint64_t pending() const {
+        return clock_ == nullptr ? 0 : clock_->cyclesDone() - accounted_;
+    }
+
     const StreamChannel* channel_;
+    const sim::Engine* clock_;
+    std::uint64_t accounted_ = 0;  ///< first clocked cycle not yet accounted
     std::uint64_t samples_ = 0;
     std::uint64_t occupancySum_ = 0;
     std::uint64_t maxFrameBeats_ = 0;

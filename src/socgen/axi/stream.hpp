@@ -1,10 +1,16 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <vector>
+
+namespace socgen::sim {
+class Component;
+}
 
 namespace socgen::axi {
+
+class StreamMonitor;
 
 /// One AXI-Stream beat: TDATA plus TLAST framing.
 struct StreamBeat {
@@ -25,9 +31,9 @@ public:
     [[nodiscard]] const std::string& name() const { return name_; }
     [[nodiscard]] unsigned width() const { return width_; }
     [[nodiscard]] std::size_t capacity() const { return capacity_; }
-    [[nodiscard]] std::size_t size() const { return fifo_.size(); }
-    [[nodiscard]] bool empty() const { return fifo_.empty(); }
-    [[nodiscard]] bool full() const { return fifo_.size() >= capacity_; }
+    [[nodiscard]] std::size_t size() const { return count_; }
+    [[nodiscard]] bool empty() const { return count_ == 0; }
+    [[nodiscard]] bool full() const { return count_ >= capacity_; }
 
     /// TVALID asserted by producer: accepted only when not full.
     bool tryPush(StreamBeat beat);
@@ -45,8 +51,9 @@ public:
     // Fault injection forces the interconnect's ready low: a blocked
     // direction refuses the handshake (and counts the stall) until
     // unblocked, modeling a wedged skid buffer or clock-gated stage.
-    void setPushBlocked(bool blocked) { pushBlocked_ = blocked; }
-    void setPopBlocked(bool blocked) { popBlocked_ = blocked; }
+    // Lifting a block wakes the component parked on that direction.
+    void setPushBlocked(bool blocked);
+    void setPopBlocked(bool blocked);
     [[nodiscard]] bool pushBlocked() const { return pushBlocked_; }
     [[nodiscard]] bool popBlocked() const { return popBlocked_; }
 
@@ -60,9 +67,20 @@ public:
 
     /// Credits `cycles` refused handshakes at once: what `cycles` failed
     /// tryPush / tryPop calls on an unchanged full / empty (or blocked)
-    /// channel would count. Used when the engine skips a quiet span.
+    /// channel would count. Used when a stalled component wakes.
     void creditPushStalls(std::uint64_t cycles) { pushStalls_ += cycles; }
     void creditPopStalls(std::uint64_t cycles) { popStalls_ += cycles; }
+
+    // -- wake hooks (DESIGN.md §16) -------------------------------------------
+    /// Parks a reader asleep on this channel: the next push (or lifting a
+    /// pop block) wakes it. A writer parks to be woken by the next pop (or
+    /// lifting a push block). One component per direction; parking another
+    /// wakes the one parked before.
+    void parkReader(sim::Component& reader);
+    void parkWriter(sim::Component& writer);
+
+    /// Attaches the monitor told before every change of the contents.
+    void setMonitor(StreamMonitor* monitor) { monitor_ = monitor; }
 
     // -- statistics ----------------------------------------------------------
     [[nodiscard]] std::uint64_t beatsPushed() const { return pushed_; }
@@ -79,10 +97,20 @@ public:
     void reset();
 
 private:
+    /// Runs before a change of the contents: the monitor accounts the
+    /// state about to change, then `waiter` (if parked) is woken.
+    void changing(sim::Component*& waiter);
+    /// Appends behind the last beat, growing the ring only for forcePush.
+    void append(StreamBeat beat);
+    void grow();
+    void removeFront();
+
     std::string name_;
     std::size_t capacity_;
     unsigned width_;
-    std::deque<StreamBeat> fifo_;
+    std::vector<StreamBeat> ring_;  ///< FIFO storage, `capacity_` slots
+    std::size_t head_ = 0;          ///< slot of the front beat
+    std::size_t count_ = 0;
     std::uint64_t pushed_ = 0;
     std::uint64_t popped_ = 0;
     std::uint64_t pushStalls_ = 0;
@@ -92,6 +120,9 @@ private:
     std::uint64_t framesCompleted_ = 0;
     bool pushBlocked_ = false;
     bool popBlocked_ = false;
+    sim::Component* parkedReader_ = nullptr;
+    sim::Component* parkedWriter_ = nullptr;
+    StreamMonitor* monitor_ = nullptr;
 };
 
 } // namespace socgen::axi

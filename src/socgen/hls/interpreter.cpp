@@ -134,7 +134,11 @@ private:
 };
 
 KernelVm::KernelVm(const Program& program, KernelIo& io)
-    : program_(program), io_(io), regs_(program.registerCount, 0) {
+    : program_(program), io_(io), regs_(program.registerCount, 0),
+      regMasks_(program.registerCount, ~std::uint64_t{0}) {
+    for (std::size_t reg = 0; reg < regMasks_.size() && reg < program.varWidth.size(); ++reg) {
+        regMasks_[reg] = maskTo(program.varWidth[reg], ~std::uint64_t{0});
+    }
     arrays_.reserve(program.arrays.size());
     for (const auto& spec : program.arrays) {
         arrays_.emplace_back(spec.depth, 0);
@@ -207,7 +211,10 @@ const std::vector<std::uint64_t>& KernelVm::array(ArrayId id) const {
     return arrays_[id];
 }
 
-std::uint64_t KernelVm::applyBin(BinOp op, std::uint64_t a, std::uint64_t b) {
+// Inlined into tick(): a call per Bin instruction is a large part of an
+// active core's host time.
+[[gnu::always_inline]] inline std::uint64_t KernelVm::applyBin(BinOp op, std::uint64_t a,
+                                                                std::uint64_t b) {
     switch (op) {
     case BinOp::Add: return a + b;
     case BinOp::Sub: return a - b;
@@ -232,10 +239,7 @@ std::uint64_t KernelVm::applyBin(BinOp op, std::uint64_t a, std::uint64_t b) {
 }
 
 std::uint64_t KernelVm::maskVar(std::uint32_t reg, std::uint64_t value) const {
-    if (reg < program_.varWidth.size()) {
-        return maskTo(program_.varWidth[reg], value);
-    }
-    return value;
+    return value & regMasks_[reg];
 }
 
 bool KernelVm::tick() {
@@ -253,8 +257,23 @@ bool KernelVm::tick() {
     // Execute zero-cost instructions until this cycle is accounted for.
     // The cap catches compiler bugs (a loop without a Cost back-edge).
     constexpr std::uint64_t kMaxInstrPerCycle = 1u << 20;
+    // The program counter and instruction count live in locals while the
+    // cycle runs (stores to regs_ could alias the members) and are
+    // written back on every exit.
+    std::uint32_t pc = pc_;
+    std::uint64_t executed = executed_;
+    struct WriteBack {
+        KernelVm& vm;
+        const std::uint32_t& pc;
+        const std::uint64_t& executed;
+        ~WriteBack() {
+            vm.pc_ = pc;
+            vm.executed_ = executed;
+        }
+    } writeBack{*this, pc, executed};
+    const Instr* const instrs = program_.instrs.data();
     for (std::uint64_t steps = 0; steps < kMaxInstrPerCycle; ++steps) {
-        const Instr& instr = program_.instrs[pc_];
+        const Instr& instr = instrs[pc];
         switch (instr.op) {
         case Opcode::LoadConst:
             regs_[instr.dst] = maskVar(instr.dst, static_cast<std::uint64_t>(instr.imm));
@@ -324,24 +343,24 @@ bool KernelVm::tick() {
                           maskTo(program_.ports[instr.port].width, regs_[instr.a]));
             break;
         case Opcode::Jump:
-            pc_ = instr.target;
-            ++executed_;
+            pc = instr.target;
+            ++executed;
             continue;
         case Opcode::JumpIfZero:
-            pc_ = regs_[instr.a] == 0 ? instr.target : pc_ + 1;
-            ++executed_;
+            pc = regs_[instr.a] == 0 ? instr.target : pc + 1;
+            ++executed;
             continue;
         case Opcode::Cost:
             waitCycles_ = instr.imm - 1;  // this tick counts as the first cycle
-            ++pc_;
-            ++executed_;
+            ++pc;
+            ++executed;
             return true;
         case Opcode::Halt:
             running_ = false;
             return true;
         }
-        ++executed_;
-        ++pc_;
+        ++executed;
+        ++pc;
     }
     throw SimulationError(format("kernel %s: executed %llu instructions without "
                                  "consuming a cycle (missing Cost?)",

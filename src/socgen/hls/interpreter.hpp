@@ -119,6 +119,7 @@ private:
     const Program& program_;
     KernelIo& io_;
     std::vector<std::uint64_t> regs_;
+    std::vector<std::uint64_t> regMasks_;  ///< by register: its variable's width mask
     std::vector<std::vector<std::uint64_t>> arrays_;
     std::uint32_t pc_ = 0;
     std::int64_t waitCycles_ = 0;

@@ -53,8 +53,17 @@ DeadlockError::DeadlockError(DeadlockReport report)
     : SimulationError(report.render()), report_(std::move(report)) {}
 
 void Engine::add(Component& component) {
-    components_.push_back(&component);
-    lastProgress_.push_back(now_);
+    component.engine_ = this;
+    component.slot_ = slots_.size();
+    Slot slot;
+    slot.component = &component;
+    slot.sleeps = component.canSleep();
+    slot.lastProgress = now_;
+    slots_.push_back(slot);
+    if (slot.sleeps) {
+        ++sleepers_;
+        ++awakeSleepers_;
+    }
 }
 
 void Engine::addProbe(Probe& probe) {
@@ -65,74 +74,147 @@ void Engine::addChannelWatch(std::function<DeadlockReport::ChannelState()> watch
     channelWatches_.push_back(std::move(watch));
 }
 
-void Engine::stepOnce(bool& anyProgress, bool& allIdle) {
-    anyProgress = false;
-    allIdle = true;
-    for (std::size_t i = 0; i < components_.size(); ++i) {
-        if (components_[i]->tick()) {
-            anyProgress = true;
-            lastProgress_[i] = now_;
-        }
-    }
-    for (Component* c : components_) {
-        if (!c->idle()) {
-            allIdle = false;
-            break;
-        }
-    }
-    for (Probe* probe : probes_) {
-        probe->sample(1);
-    }
-    ++now_;
+std::uint64_t Engine::realTicks(const Component& component) const {
+    return component.engine_ == this ? slots_[component.slot_].ticks : 0;
 }
 
-std::uint64_t Engine::quietSpan(std::uint64_t limit) const {
+void Engine::settleAndWake(std::size_t index) {
+    Slot& slot = slots_[index];
+    const std::uint64_t through = frontierOf(index);
+    if (through > slot.sleptFrom && slot.component->skip(through - slot.sleptFrom)) {
+        slot.lastProgress = through - 1;
+        stallFrom_ = std::max(stallFrom_, through);
+    }
+    slot.asleep = false;
+    ++awakeSleepers_;
+}
+
+void Engine::wakeAll() {
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        wake(i);
+    }
+}
+
+void Engine::tickCycle() {
+    frontier_ = now_;
+    ticked_.clear();
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        cursor_ = i;
+        Slot& slot = slots_[i];
+        if (slot.asleep) {
+            if (slot.wakeAt > now_) {
+                continue;
+            }
+            wake(i);
+        }
+        ++slot.ticks;
+        if (slot.component->tick()) {
+            slot.lastProgress = now_;
+            stallFrom_ = now_ + 1;
+        }
+        if (slot.sleeps) {
+            ticked_.push_back(i);
+        }
+    }
+    cursor_ = kAfterTicks;
+    ++steps_;
+    // A component falls asleep only once the whole cycle has run, so an
+    // act of a later component that ends its quiet span is seen at once.
+    for (const std::size_t i : ticked_) {
+        Slot& slot = slots_[i];
+        const std::uint64_t quiet = slot.component->quietFor();
+        if (quiet == 0) {
+            continue;
+        }
+        slot.asleep = true;
+        slot.sleptFrom = now_ + 1;
+        slot.wakeAt = quiet < kUnbounded - slot.sleptFrom ? slot.sleptFrom + quiet : kUnbounded;
+        --awakeSleepers_;
+        slot.component->armWake();
+    }
+}
+
+std::uint64_t Engine::jumpLength(std::uint64_t limit) {
     std::uint64_t span = limit;
-    for (const Component* c : components_) {
-        span = std::min(span, c->quietFor());
-        if (span < 2) {
-            return 0;
+    for (const Slot& slot : slots_) {
+        if (slot.asleep) {
+            span = std::min(span, slot.wakeAt - now_);
         }
     }
     for (const Probe* probe : probes_) {
-        span = std::min(span, probe->horizon());
-        if (span < 2) {
+        if (span == 0) {
             return 0;
         }
+        span = std::min(span, probe->horizon());
     }
-    // With everything idle the run ends on the next (real) step.
-    const bool allIdle = std::all_of(components_.begin(), components_.end(),
-                                     [](const Component* c) { return c->idle(); });
-    return allIdle ? 0 : span;
-}
-
-bool Engine::skipSpan(std::uint64_t cycles) {
-    bool anyProgress = false;
-    const std::uint64_t last = now_ + cycles - 1;
-    for (std::size_t i = 0; i < components_.size(); ++i) {
-        if (components_[i]->skip(cycles)) {
-            anyProgress = true;
-            lastProgress_[i] = last;
+    // Components that never sleep are asked last: their quietFor() may
+    // cost more than a field read.
+    if (sleepers_ == slots_.size()) {
+        return span;
+    }
+    for (const Slot& slot : slots_) {
+        if (span == 0) {
+            return 0;
+        }
+        if (!slot.sleeps) {
+            span = std::min(span, slot.component->quietFor());
         }
     }
+    return span;
+}
+
+bool Engine::everyComponentIdle() {
+    // A sleeper's idle() holds over its sleep, and only its own tick can
+    // make it idle: the busy component found last time is still busy if it
+    // has slept through this cycle.
+    if (busy_ < slots_.size() && slots_[busy_].asleep && slots_[busy_].sleptFrom <= now_) {
+        return false;
+    }
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        if (!slots_[i].component->idle()) {
+            busy_ = i;
+            return false;
+        }
+    }
+    return true;
+}
+
+void Engine::skipAwake(std::uint64_t cycles) {
+    if (sleepers_ == slots_.size()) {
+        return;  // every component sleeps through its own quiet spans
+    }
+    const std::uint64_t last = now_ + cycles - 1;
+    for (Slot& slot : slots_) {
+        if (!slot.sleeps && slot.component->skip(cycles)) {
+            slot.lastProgress = last;
+            stallFrom_ = last + 1;
+        }
+    }
+}
+
+void Engine::observe(std::uint64_t cycles) {
+    sampling_ = true;
     for (Probe* probe : probes_) {
         probe->sample(cycles);
     }
+    sampling_ = false;
     now_ += cycles;
-    return anyProgress;
+    frontier_ = now_;
+    cursor_ = 0;
 }
 
-DeadlockReport Engine::snapshot(std::uint64_t stallCycles) const {
+DeadlockReport Engine::snapshot(std::uint64_t stallCycles) {
+    wakeAll();
     DeadlockReport report;
     report.cycle = now_;
     report.stallCycles = stallCycles;
-    report.components.reserve(components_.size());
-    for (std::size_t i = 0; i < components_.size(); ++i) {
+    report.components.reserve(slots_.size());
+    for (const Slot& slot : slots_) {
         DeadlockReport::ComponentState state;
-        state.name = components_[i]->name();
-        state.idle = components_[i]->idle();
-        state.lastProgressCycle = lastProgress_[i];
-        state.detail = components_[i]->debugState();
+        state.name = slot.component->name();
+        state.idle = slot.component->idle();
+        state.lastProgressCycle = slot.lastProgress;
+        state.detail = slot.component->debugState();
         report.components.push_back(std::move(state));
     }
     report.channels.reserve(channelWatches_.size());
@@ -142,52 +224,80 @@ DeadlockReport Engine::snapshot(std::uint64_t stallCycles) const {
     return report;
 }
 
-std::uint64_t Engine::runUntilIdle(std::uint64_t maxCycles, std::uint64_t stallLimit) {
-    // After a cycle with no quiet span the search backs off (1, 2, 4, 8
-    // cycles) so busy stretches do not pay for a scan every cycle.
-    constexpr std::uint64_t kMaxBackoff = 8;
+std::uint64_t Engine::advance(std::uint64_t maxCycles, std::uint64_t stallLimit,
+                              bool untilIdle) {
     const std::uint64_t start = now_;
-    std::uint64_t stalledFor = 0;
-    std::uint64_t nextSearch = now_;
-    std::uint64_t backoff = 1;
-    while (now_ - start < maxCycles) {
-        // A span stops one cycle short of the cycle budget and of the
-        // stall verdict, so both still fire on a real step.
-        const std::uint64_t limit =
-            stalledFor < stallLimit
-                ? std::min(maxCycles - (now_ - start), stallLimit - stalledFor) - 1
-                : 0;
-        if (limit >= 2 && now_ >= nextSearch) {
-            const std::uint64_t span = quietSpan(limit);
-            if (span >= 2) {
-                stalledFor = skipSpan(span) ? 0 : stalledFor + span;
-                backoff = 1;
-                continue;
+    stallFrom_ = now_;
+    try {
+        while (now_ - start < maxCycles) {
+            // A jump ends where the deadlock verdict would fire if no
+            // sleeper progressed.
+            std::uint64_t room = maxCycles - (now_ - start);
+            if (untilIdle) {
+                room = std::min(room, stallLimit - (now_ - stallFrom_));
             }
-            nextSearch = now_ + backoff;
-            backoff = std::min(backoff * 2, kMaxBackoff);
+            // Each run starts with a real cycle: everything is awake then,
+            // and an all-idle system ends on it.
+            std::uint64_t cycles = now_ == start || awakeSleepers_ > 0 ? 0 : jumpLength(room);
+            bool allIdle = false;
+            if (cycles > 0) {
+                frontier_ = now_ + cycles - 1;
+                cursor_ = kAfterTicks;
+                skipAwake(cycles);
+            } else {
+                cycles = 1;
+                if (std::any_of(probes_.begin(), probes_.end(),
+                                [](const Probe* p) { return p->horizon() == 0; })) {
+                    wakeAll();  // a probe acts on this cycle: it sees settled state
+                }
+                tickCycle();
+                allIdle = untilIdle && everyComponentIdle();
+            }
+            const std::uint64_t end = now_ + cycles;
+            bool deadlocked = untilIdle && end - stallFrom_ >= stallLimit;
+            if (deadlocked) {
+                // Progress made by sleepers is known once they are settled.
+                wakeAll();
+                deadlocked = end - stallFrom_ >= stallLimit;
+            }
+            // Settle every sleeper before the probes sample the last cycle.
+            if (allIdle || deadlocked || end - start >= maxCycles) {
+                wakeAll();
+                if (allIdle) {
+                    // The verdict asks every component, now settled.
+                    for (const Slot& slot : slots_) {
+                        (void)slot.component->idle();
+                    }
+                }
+            }
+            observe(cycles);
+            if (allIdle) {
+                return now_ - start;
+            }
+            if (deadlocked) {
+                throw DeadlockError(snapshot(end - stallFrom_));
+            }
         }
-        bool anyProgress = false;
-        bool allIdle = true;
-        stepOnce(anyProgress, allIdle);
-        if (allIdle) {
-            return now_ - start;
-        }
-        stalledFor = anyProgress ? 0 : stalledFor + 1;
-        if (stalledFor >= stallLimit) {
-            throw DeadlockError(snapshot(stalledFor));
-        }
+    } catch (...) {
+        wakeAll();
+        frontier_ = now_;
+        cursor_ = 0;
+        sampling_ = false;
+        throw;
     }
-    throw SimulationError("simulation exceeded " + std::to_string(maxCycles) +
-                          " cycles without quiescing");
+    if (untilIdle) {
+        throw SimulationError("simulation exceeded " + std::to_string(maxCycles) +
+                              " cycles without quiescing");
+    }
+    return now_ - start;
+}
+
+std::uint64_t Engine::runUntilIdle(std::uint64_t maxCycles, std::uint64_t stallLimit) {
+    return advance(maxCycles, stallLimit, true);
 }
 
 void Engine::run(std::uint64_t cycles) {
-    for (std::uint64_t i = 0; i < cycles; ++i) {
-        bool anyProgress = false;
-        bool allIdle = true;
-        stepOnce(anyProgress, allIdle);
-    }
+    (void)advance(cycles, kUnbounded, false);
 }
 
 } // namespace socgen::sim

@@ -9,19 +9,26 @@
 
 namespace socgen::sim {
 
-/// Cycle count meaning "no bound": a quiet span or probe horizon that
-/// nothing in the component or probe itself limits.
+/// Cycle count meaning "no bound": a quiet span, wake deadline or probe
+/// horizon that nothing in the component or probe itself limits.
 inline constexpr std::uint64_t kUnbounded = ~std::uint64_t{0};
 
-/// A clocked component of the simulated SoC. Each cycle the engine calls
-/// tick() once on every component in registration order (components must
-/// therefore tolerate same-cycle ordering; channels decouple them).
+class Engine;
+
+/// A clocked component of the simulated SoC. On each real cycle the
+/// engine ticks, in registration order, every component that is awake
+/// (components must therefore tolerate same-cycle ordering; channels
+/// decouple them).
 ///
-/// Quiet spans: when every component reports that its coming ticks would
-/// only repeat this cycle's effect (a countdown, a stall on an empty or
-/// full channel, nothing to do), the engine applies those ticks with one
-/// skip() call each instead of stepping cycle by cycle. The result is
-/// identical to stepping; DESIGN.md §16 states the contract.
+/// Sleep and wake (DESIGN.md §16): a component that canSleep() and whose
+/// quietFor() is above 0 at the end of a cycle on which it ticked is not
+/// ticked again until its quiet span ends or a wake source it armed calls
+/// wake(). At wake the engine
+/// credits the slept cycles with one skip() call. A component that keeps
+/// the default canSleep() is ticked on every real cycle; the engine only
+/// asks its quietFor() when no sleeping component is due, to bound a jump
+/// of the clock. Either way the result is identical to ticking every
+/// component on every cycle.
 class Component {
 public:
     virtual ~Component() = default;
@@ -32,7 +39,8 @@ public:
     /// work this cycle (used for deadlock/quiescence detection).
     virtual bool tick() = 0;
 
-    /// True when the component has nothing left to do.
+    /// True when the component has nothing left to do. Must not change
+    /// over a quiet span.
     [[nodiscard]] virtual bool idle() const = 0;
 
     /// Number of coming cycles whose tick() would only repeat the same
@@ -49,24 +57,56 @@ public:
         return false;
     }
 
+    /// True if the component sleeps through its quiet spans. Asked once,
+    /// when the component is added to an engine. Such a component may
+    /// become idle only in its own tick().
+    [[nodiscard]] virtual bool canSleep() const { return false; }
+
+    /// Called as the component falls asleep: at the end of a cycle on which
+    /// it ticked, when its quietFor() is above 0. It must arm every source
+    /// outside itself that can end the quiet span early — a channel it is
+    /// blocked on, an IRQ line it waits for — so that the source calls
+    /// wake(). Register writes and other calls from outside that change
+    /// what quietFor() depends on call wake() themselves.
+    virtual void armWake() {}
+
+    /// Ends this component's sleep: the engine credits the slept cycles
+    /// and ticks it again — on the current cycle if its turn in
+    /// registration order is still to come, else on the next. Call it
+    /// before changing the component's state. No-op while awake.
+    void wake();
+
     /// One-line description of the component's internal state, used for
     /// deadlock forensics ("polling 0x43c00004", "MM2S 512 words left").
     [[nodiscard]] virtual std::string debugState() const { return {}; }
+
+private:
+    friend class Engine;
+    Engine* engine_ = nullptr;
+    std::size_t slot_ = 0;
 };
 
-/// An observer sampled after every cycle's ticks (protocol monitors,
-/// fault injectors, delayed IRQ edges). Over a quiet span the engine
-/// calls sample() once for the whole span.
+/// An observer sampled after the ticks of every real cycle, and once for
+/// each jump of the clock (fault injectors, delayed IRQ edges).
+///
+/// A probe sees a sleeping component's counters as they stood when it
+/// fell asleep; the engine settles them before the sample of the cycle
+/// on which a run ends (all idle, deadlock or overrun). A probe whose
+/// horizon() is 0 acts on the coming cycle: the engine then ticks every
+/// component on that cycle, so the probe sees settled state. A probe
+/// changes components only through calls that wake them (register
+/// writes, channel blocks, IRQ edges, injected stalls).
 class Probe {
 public:
     virtual ~Probe() = default;
 
-    /// Observes `cycles` consecutive cycles that all left the system in
-    /// the same state; Engine::now() is the first of them.
+    /// Observes `cycles` consecutive cycles: one real cycle, or a jump
+    /// over which nothing that can reach the probe changed. Engine::now()
+    /// is the first of them.
     virtual void sample(std::uint64_t cycles) = 0;
 
-    /// Number of coming cycles this probe can observe as one span before
-    /// it must act on a real cycle (0: sample the next cycle alone).
+    /// Number of coming cycles this probe can observe before it must act
+    /// on a real cycle (0: it acts on the next cycle).
     [[nodiscard]] virtual std::uint64_t horizon() const { return kUnbounded; }
 };
 
@@ -115,14 +155,17 @@ private:
 };
 
 /// Cycle-based simulation engine for a generated SoC: single clock
-/// domain (the Zynq PL fabric clock), deterministic ordering.
+/// domain (the Zynq PL fabric clock), deterministic ordering. Components
+/// sleep through their quiet spans and the clock jumps whenever nothing
+/// is awake (DESIGN.md §16); every counter ends as per-cycle stepping
+/// would leave it.
 class Engine {
 public:
     /// Registers a component (not owned). Order defines tick order.
     void add(Component& component);
 
-    /// Registers a probe (not owned), sampled after every cycle in
-    /// registration order.
+    /// Registers a probe (not owned), sampled after every real cycle and
+    /// every jump, in registration order.
     void addProbe(Probe& probe);
 
     /// Registers a channel snapshot source included in deadlock reports.
@@ -132,35 +175,101 @@ public:
     /// Throws DeadlockError (with a full DeadlockReport) when no component
     /// makes progress for `stallLimit` consecutive cycles while not all
     /// are idle; throws SimulationError on the cycle-budget overrun.
-    /// Returns the number of cycles simulated. Quiet spans are skipped in
-    /// one step each, but never across either verdict: both fire on a
-    /// real cycle, exactly where per-cycle stepping would fire them.
+    /// Returns the number of cycles simulated. Both verdicts fire at the
+    /// cycle per-cycle stepping would reach; a jump ends there.
     std::uint64_t runUntilIdle(std::uint64_t maxCycles = 100'000'000,
                                std::uint64_t stallLimit = 100'000);
 
-    /// Runs exactly `cycles` cycles (no idle/deadlock checks), one real
-    /// step per cycle.
+    /// Runs exactly `cycles` cycles (no idle/deadlock checks).
     void run(std::uint64_t cycles);
 
     [[nodiscard]] std::uint64_t now() const { return now_; }
 
+    /// Cycles observed so far: now() while components tick and the idle
+    /// verdict asks them, now() + 1 while probes sample a real cycle, the
+    /// end of the jump while they sample one. Observers that account per
+    /// cycle lazily (StreamMonitor) account up to here, as a probe
+    /// sampling every cycle would.
+    [[nodiscard]] std::uint64_t cyclesDone() const { return frontier_ + (sampling_ ? 1 : 0); }
+
+    /// Real cycles stepped so far (cycles not jumped over).
+    [[nodiscard]] std::uint64_t steps() const { return steps_; }
+
+    /// Real tick() calls `component` has had from this engine.
+    [[nodiscard]] std::uint64_t realTicks(const Component& component) const;
+
     /// Builds the forensic snapshot at the current cycle (also used by
-    /// runUntilIdle when declaring a deadlock).
-    [[nodiscard]] DeadlockReport snapshot(std::uint64_t stallCycles = 0) const;
+    /// runUntilIdle when declaring a deadlock). Wakes every sleeping
+    /// component first, so their counters are settled.
+    [[nodiscard]] DeadlockReport snapshot(std::uint64_t stallCycles = 0);
 
 private:
-    void stepOnce(bool& anyProgress, bool& allIdle);
-    /// Length of the quiet span starting at now_, at most `limit` cycles.
-    [[nodiscard]] std::uint64_t quietSpan(std::uint64_t limit) const;
-    /// Applies a quiet span of `cycles`; returns whether any component
-    /// progressed in it.
-    bool skipSpan(std::uint64_t cycles);
+    friend class Component;
 
-    std::vector<Component*> components_;
-    std::vector<std::uint64_t> lastProgress_;
+    /// `cursor_` while no tick loop runs, and after the ticks of a cycle.
+    static constexpr std::size_t kAfterTicks = ~std::size_t{0};
+
+    struct Slot {
+        Component* component = nullptr;
+        bool sleeps = false;            ///< component->canSleep()
+        bool asleep = false;
+        std::uint64_t sleptFrom = 0;    ///< first slept cycle not yet credited
+        std::uint64_t wakeAt = kUnbounded;  ///< cycle its quiet span ends
+        std::uint64_t lastProgress = 0;
+        std::uint64_t ticks = 0;
+    };
+
+    /// Runs up to `maxCycles`; with `untilIdle`, stops when every
+    /// component is idle and applies the deadlock verdict.
+    std::uint64_t advance(std::uint64_t maxCycles, std::uint64_t stallLimit, bool untilIdle);
+    /// Ticks every awake or due component for the cycle now_.
+    void tickCycle();
+    /// Cycles the clock can jump from now_ (0: step a real cycle), at
+    /// most `limit`, when no component that can sleep is awake.
+    [[nodiscard]] std::uint64_t jumpLength(std::uint64_t limit);
+    /// The all-idle verdict's test, after the ticks of a cycle.
+    [[nodiscard]] bool everyComponentIdle();
+    /// Credits the ticks jumped over to the awake (never sleeping)
+    /// components.
+    void skipAwake(std::uint64_t cycles);
+    /// Samples the probes for `cycles` cycles from now_ and moves the
+    /// clock past them.
+    void observe(std::uint64_t cycles);
+    void wake(std::size_t slot) {
+        if (slots_[slot].asleep) {
+            settleAndWake(slot);
+        }
+    }
+    /// Credits the slept cycles of an asleep slot and wakes it.
+    void settleAndWake(std::size_t slot);
+    void wakeAll();
+    /// First cycle slot `slot` has passed: components before the cursor
+    /// have had their turn on the current cycle.
+    [[nodiscard]] std::uint64_t frontierOf(std::size_t slot) const {
+        return frontier_ + (slot < cursor_ ? 1 : 0);
+    }
+
+    std::vector<Slot> slots_;
+    std::vector<std::size_t> ticked_;  ///< slots that can sleep ticked this cycle
     std::vector<Probe*> probes_;
     std::vector<std::function<DeadlockReport::ChannelState()>> channelWatches_;
     std::uint64_t now_ = 0;
+    std::uint64_t frontier_ = 0;       ///< first cycle not every slot has passed
+    std::size_t cursor_ = 0;           ///< slot being ticked on cycle frontier_
+    bool sampling_ = false;            ///< the probes are sampling
+    std::size_t sleepers_ = 0;         ///< slots that can sleep
+    std::size_t awakeSleepers_ = 0;    ///< of which awake
+    /// First cycle of the current no-progress run, as far as the ticks and
+    /// settled sleepers tell.
+    std::uint64_t stallFrom_ = 0;
+    std::uint64_t steps_ = 0;
+    std::size_t busy_ = 0;  ///< a component found busy by the last idle test
 };
+
+inline void Component::wake() {
+    if (engine_ != nullptr) {
+        engine_->wake(slot_);
+    }
+}
 
 } // namespace socgen::sim

@@ -12,7 +12,7 @@ namespace socgen::sim {
 
 /// Kinds of faults the injector knows how to schedule. Cycle-level kinds
 /// are fired by the injector at their cycle (it is an engine probe whose
-/// horizon ends at the next due event, so no quiet span skips one).
+/// horizon ends at the next due event, so no jump of the clock skips one).
 /// Flow-level kinds (BitstreamCorrupt, HlsFailure) are consumed by the
 /// harness before the simulation starts (via FaultPlan::eventsOfKind)
 /// because they strike tool phases, not clocked hardware.
@@ -113,8 +113,10 @@ private:
 /// substrate-agnostic: it knows nothing of AXI channels or DMAs. The SoC
 /// layer registers a handler per FaultKind (SystemSimulator::armFaults)
 /// and the injector, registered as an engine probe, dispatches each event
-/// after the ticks of its cycle; its horizon() stops quiet spans short of
-/// the next pending event. That keeps sim free of upward dependencies.
+/// after the ticks of its cycle; its horizon() reaches 0 on that cycle, so
+/// every component ticks on it, and each handler changes components
+/// through calls that wake them. That keeps sim free of upward
+/// dependencies.
 class FaultInjector final : private Probe {
 public:
     using Handler = std::function<void(const FaultEvent&)>;

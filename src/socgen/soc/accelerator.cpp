@@ -107,6 +107,20 @@ bool AcceleratorCore::skip(std::uint64_t cycles) {
     return waiting;  // a Cost wait is progress, a stream stall is not
 }
 
+void AcceleratorCore::armWake() {
+    if (!vm_.running() || vm_.pendingWait() > 0) {
+        return;
+    }
+    bool read = false;
+    if (axi::StreamChannel* channel = nextStreamAccess(read)) {
+        if (read) {
+            channel->parkReader(*this);
+        } else {
+            channel->parkWriter(*this);
+        }
+    }
+}
+
 std::uint32_t AcceleratorCore::readRegister(std::uint64_t offset) {
     if (offset == accreg::kCtrl) {
         std::uint32_t status = 0;
@@ -129,6 +143,7 @@ std::uint32_t AcceleratorCore::readRegister(std::uint64_t offset) {
 }
 
 void AcceleratorCore::writeRegister(std::uint64_t offset, std::uint32_t value) {
+    wake();
     if (offset == accreg::kCtrl) {
         if ((value & accreg::kCtrlStart) != 0) {
             if (vm_.running()) {

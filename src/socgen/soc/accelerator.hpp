@@ -68,6 +68,10 @@ public:
     /// never quiet while it runs.
     [[nodiscard]] std::uint64_t quietFor() const override;
     bool skip(std::uint64_t cycles) override;
+    [[nodiscard]] bool canSleep() const override { return true; }
+    /// Parks on the channel a stalled stream access waits for; a Cost
+    /// wait ends by itself, and a register write wakes the core.
+    void armWake() override;
 
     // axi::LiteSlave
     [[nodiscard]] std::uint32_t readRegister(std::uint64_t offset) override;

@@ -189,6 +189,15 @@ bool DmaEngine::skip(std::uint64_t cycles) {
     return false;
 }
 
+void DmaEngine::armWake() {
+    if (mm2s_.active) {
+        mm2sDests_[mm2s_.route]->parkWriter(*this);
+    }
+    if (s2mm_.active) {
+        s2mmSrcs_[s2mm_.route]->parkReader(*this);
+    }
+}
+
 bool DmaEngine::idle() const {
     return !mm2s_.active && !s2mm_.active;
 }
@@ -237,6 +246,7 @@ std::uint32_t DmaEngine::readRegister(std::uint64_t offset) {
 }
 
 void DmaEngine::writeRegister(std::uint64_t offset, std::uint32_t value) {
+    wake();
     switch (offset) {
     case dmareg::kMm2sCtrl:
         break;  // run/stop is implicit in this simple-mode model

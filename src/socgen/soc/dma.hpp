@@ -57,6 +57,11 @@ public:
     /// each skipped cycle credits).
     [[nodiscard]] std::uint64_t quietFor() const override;
     bool skip(std::uint64_t cycles) override;
+    [[nodiscard]] bool canSleep() const override { return true; }
+    /// Parks on the active channels: MM2S as the destination's writer,
+    /// S2MM as the source's reader. Register writes and injectStall()
+    /// wake the engine themselves.
+    void armWake() override;
     [[nodiscard]] std::string debugState() const override;
 
     // axi::LiteSlave
@@ -87,7 +92,10 @@ public:
     /// Corrupts the next `words` S2MM memory writes (same mask scheme).
     void injectS2mmCorruption(std::uint64_t xorMask, std::uint64_t words = 1);
     /// Freezes both descriptors for `cycles` cycles (wedged interconnect).
-    void injectStall(std::uint64_t cycles) { stallRemaining_ += cycles; }
+    void injectStall(std::uint64_t cycles) {
+        wake();
+        stallRemaining_ += cycles;
+    }
     [[nodiscard]] bool stalled() const { return stallRemaining_ > 0; }
 
 private:

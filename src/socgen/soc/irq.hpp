@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 namespace socgen::soc {
 
@@ -16,8 +17,11 @@ namespace socgen::soc {
 /// edges outright, armDelay() holds the next edge for N cycles. The
 /// holder advances a held edge with tickDelay() for every simulated
 /// cycle; SystemSimulator does so from an engine probe, which credits a
-/// quiet span in one call and ends spans before the edge is due
+/// jump of the clock in one call and acts on the cycle the edge is due
 /// (delayHorizon()).
+///
+/// Wake hook: a component asleep until the line is pending parks itself
+/// with park(); the edge that sets it pending wakes it.
 class IrqLine {
 public:
     explicit IrqLine(std::string name) : name_(std::move(name)) {}
@@ -34,8 +38,7 @@ public:
             delayHeld_ = true;
             return;
         }
-        pending_ = true;
-        ++raiseCount_;
+        setPending();
     }
 
     /// Consumes a pending interrupt; returns false if none.
@@ -59,8 +62,7 @@ public:
         delayRemaining_ -= cycles;
         if (delayRemaining_ == 0) {
             delayHeld_ = false;
-            pending_ = true;
-            ++raiseCount_;
+            setPending();
         }
     }
 
@@ -70,6 +72,9 @@ public:
         return delayHeld_ ? delayRemaining_ - 1 : sim::kUnbounded;
     }
 
+    /// Parks `waiter` until the next edge is delivered (one waiter).
+    void park(sim::Component& waiter) { waiter_ = &waiter; }
+
     [[nodiscard]] bool pending() const { return pending_; }
     [[nodiscard]] const std::string& name() const { return name_; }
     [[nodiscard]] std::uint64_t raiseCount() const { return raiseCount_; }
@@ -77,6 +82,14 @@ public:
     [[nodiscard]] bool delayInFlight() const { return delayHeld_; }
 
 private:
+    void setPending() {
+        if (waiter_ != nullptr) {
+            std::exchange(waiter_, nullptr)->wake();
+        }
+        pending_ = true;
+        ++raiseCount_;
+    }
+
     std::string name_;
     bool pending_ = false;
     std::uint64_t raiseCount_ = 0;
@@ -85,6 +98,7 @@ private:
     std::uint64_t delayArm_ = 0;
     std::uint64_t delayRemaining_ = 0;
     bool delayHeld_ = false;
+    sim::Component* waiter_ = nullptr;
 };
 
 } // namespace socgen::soc

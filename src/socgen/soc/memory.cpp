@@ -7,29 +7,26 @@
 
 namespace socgen::soc {
 
-std::vector<std::uint32_t>& Memory::page(std::uint64_t wordAddress) const {
-    const std::uint64_t pageIndex = wordAddress / kPageWords;
-    auto it = pages_.find(pageIndex);
-    if (it == pages_.end()) {
-        it = pages_.emplace(pageIndex, std::vector<std::uint32_t>(kPageWords, 0)).first;
+std::vector<std::uint32_t>& Memory::allocate(Directory& directory, std::uint64_t pageIndex,
+                                             std::size_t* allocated) {
+    if (pageIndex >= directory.size()) {
+        directory.resize(pageIndex + 1);
     }
-    return it->second;
-}
-
-std::vector<std::uint32_t>& Memory::eccPage(std::uint64_t wordAddress) const {
-    const std::uint64_t pageIndex = wordAddress / kPageWords;
-    auto it = eccPages_.find(pageIndex);
-    if (it == eccPages_.end()) {
-        it = eccPages_.emplace(pageIndex, std::vector<std::uint32_t>(kPageWords, 0)).first;
+    std::vector<std::uint32_t>& page = directory[pageIndex];
+    if (page.empty()) {
+        page.assign(kPageWords, 0);
+        if (allocated != nullptr) {
+            ++*allocated;
+        }
     }
-    return it->second;
+    return page;
 }
 
 std::uint32_t Memory::readWord(std::uint64_t wordAddress) const {
     ++reads_;
-    std::uint32_t& stored = page(wordAddress)[wordAddress % kPageWords];
+    std::uint32_t& stored = word(wordAddress);
     if (eccEnabled_) {
-        const std::uint32_t check = eccPage(wordAddress)[wordAddress % kPageWords];
+        const std::uint32_t check = eccWord(wordAddress);
         const std::uint32_t diff = stored ^ check;
         if (diff != 0) {
             if (std::popcount(diff) == 1) {
@@ -50,18 +47,16 @@ std::uint32_t Memory::readWord(std::uint64_t wordAddress) const {
 
 void Memory::writeWord(std::uint64_t wordAddress, std::uint32_t value) {
     ++writes_;
-    page(wordAddress)[wordAddress % kPageWords] = value;
+    word(wordAddress) = value;
     if (eccEnabled_) {
-        eccPage(wordAddress)[wordAddress % kPageWords] = value;
+        eccWord(wordAddress) = value;
     }
 }
 
 void Memory::setEccEnabled(bool enabled) {
     if (enabled && !eccEnabled_) {
         // Snapshot the check words for everything already written.
-        for (const auto& [pageIndex, data] : pages_) {
-            eccPages_[pageIndex] = data;
-        }
+        eccPages_ = pages_;
     }
     eccEnabled_ = enabled;
     if (!enabled) {
@@ -70,7 +65,7 @@ void Memory::setEccEnabled(bool enabled) {
 }
 
 void Memory::injectBitFlip(std::uint64_t wordAddress, unsigned bit) {
-    page(wordAddress)[wordAddress % kPageWords] ^= (1U << (bit & 31U));
+    word(wordAddress) ^= (1U << (bit & 31U));
 }
 
 void Memory::writeBlock(std::uint64_t wordAddress, std::span<const std::uint32_t> data) {

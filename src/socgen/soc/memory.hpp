@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -9,7 +8,9 @@ namespace socgen::soc {
 
 /// Word-addressed DDR model (the Zedboard's 512 MB DDR3, shared between
 /// the ARM PS and the PL masters through the HP ports). Storage is
-/// allocated page-wise on first touch so large address spaces stay cheap.
+/// allocated page-wise on first touch so large address spaces stay cheap;
+/// a dense page directory, grown to the highest page touched, finds a
+/// word's page with one index.
 /// All PL-side transfers operate on 32-bit words, which matches the DMA
 /// data width configured by the flow.
 class Memory {
@@ -24,7 +25,7 @@ public:
     [[nodiscard]] std::vector<std::uint32_t> readBlock(std::uint64_t wordAddress,
                                                        std::size_t count) const;
 
-    [[nodiscard]] std::size_t pagesAllocated() const { return pages_.size(); }
+    [[nodiscard]] std::size_t pagesAllocated() const { return pagesAllocated_; }
 
     // -- ECC (behavioral SECDED model) ---------------------------------------
     // When enabled, every word carries check information: reads correct a
@@ -45,15 +46,36 @@ public:
     [[nodiscard]] std::uint64_t writeCount() const { return writes_; }
 
 private:
-    mutable std::map<std::uint64_t, std::vector<std::uint32_t>> pages_;
-    mutable std::map<std::uint64_t, std::vector<std::uint32_t>> eccPages_;
+    /// Page directory by page index; an empty page is not yet touched.
+    using Directory = std::vector<std::vector<std::uint32_t>>;
+
+    mutable Directory pages_;
+    mutable Directory eccPages_;
+    mutable std::size_t pagesAllocated_ = 0;
     mutable std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;
     bool eccEnabled_ = false;
     mutable std::uint64_t eccCorrected_ = 0;
 
-    [[nodiscard]] std::vector<std::uint32_t>& page(std::uint64_t wordAddress) const;
-    [[nodiscard]] std::vector<std::uint32_t>& eccPage(std::uint64_t wordAddress) const;
+    /// The storage of `wordAddress` in `directory`, allocating its page
+    /// on first touch (counted in `allocated` when given).
+    [[nodiscard]] static std::uint32_t& slot(Directory& directory, std::uint64_t wordAddress,
+                                             std::size_t* allocated) {
+        const std::uint64_t pageIndex = wordAddress / kPageWords;
+        if (pageIndex < directory.size() && !directory[pageIndex].empty()) {
+            return directory[pageIndex][wordAddress % kPageWords];
+        }
+        return allocate(directory, pageIndex, allocated)[wordAddress % kPageWords];
+    }
+    [[nodiscard]] static std::vector<std::uint32_t>& allocate(Directory& directory,
+                                                              std::uint64_t pageIndex,
+                                                              std::size_t* allocated);
+    [[nodiscard]] std::uint32_t& word(std::uint64_t wordAddress) const {
+        return slot(pages_, wordAddress, &pagesAllocated_);
+    }
+    [[nodiscard]] std::uint32_t& eccWord(std::uint64_t wordAddress) const {
+        return slot(eccPages_, wordAddress, nullptr);
+    }
 };
 
 } // namespace socgen::soc

@@ -78,7 +78,7 @@ SystemSimulator::SystemSimulator(const BlockDesign& design,
             cores_.at(s.to.instance)->bindStream(s.to.port, *chan);
         }
         if (options_.attachMonitors) {
-            monitors_.push_back(std::make_unique<axi::StreamMonitor>(*chan));
+            monitors_.push_back(std::make_unique<axi::StreamMonitor>(*chan, &engine_));
         }
         channels_.push_back(std::move(chan));
     }
@@ -104,9 +104,6 @@ SystemSimulator::SystemSimulator(const BlockDesign& design,
     for (auto& [name, core] : cores_) {
         engine_.add(*core);
     }
-    for (auto& monitor : monitors_) {
-        engine_.addProbe(*monitor);
-    }
     for (auto& chan : channels_) {
         engine_.addChannelWatch([c = chan.get()] {
             sim::DeadlockReport::ChannelState state;
@@ -120,13 +117,16 @@ SystemSimulator::SystemSimulator(const BlockDesign& design,
             return state;
         });
     }
-    // Delayed IRQ edges (armDelay fault) run on the engine's clock.
+    // Delayed IRQ edges (armDelay fault) run on the engine's clock; a
+    // polling system has no IRQ lines and needs no clock.
     for (auto* irqMap : {&mm2sIrqs_, &s2mmIrqs_, &coreIrqs_}) {
         for (auto& [name, line] : *irqMap) {
             irqDelayClock_.add(*line);
         }
     }
-    engine_.addProbe(irqDelayClock_);
+    if (options_.useInterrupts) {
+        engine_.addProbe(irqDelayClock_);
+    }
 }
 
 void SystemSimulator::IrqDelayClock::sample(std::uint64_t cycles) {

@@ -104,8 +104,8 @@ public:
 
 private:
     /// Engine probe that clocks delayed IRQ edges (the IrqDelay fault):
-    /// its horizon ends a quiet span on the cycle before the shortest
-    /// held delay delivers its edge.
+    /// its horizon makes it act on the cycle the shortest held delay
+    /// delivers its edge.
     class IrqDelayClock final : public sim::Probe {
     public:
         void add(IrqLine& line) { lines_.push_back(&line); }

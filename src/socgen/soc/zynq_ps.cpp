@@ -14,7 +14,7 @@ void ZynqPs::task(std::string label, std::uint64_t cycles, TaskFn fn) {
     op.label = std::move(label);
     op.cycles = cycles;
     op.fn = std::move(fn);
-    program_.push_back(std::move(op));
+    enqueue(std::move(op));
 }
 
 void ZynqPs::writeReg(std::uint64_t address, std::uint32_t value) {
@@ -22,7 +22,7 @@ void ZynqPs::writeReg(std::uint64_t address, std::uint32_t value) {
     op.kind = OpKind::WriteReg;
     op.address = address;
     op.value = value;
-    program_.push_back(std::move(op));
+    enqueue(std::move(op));
 }
 
 void ZynqPs::pollEq(std::uint64_t address, std::uint32_t mask, std::uint32_t expect,
@@ -33,14 +33,14 @@ void ZynqPs::pollEq(std::uint64_t address, std::uint32_t mask, std::uint32_t exp
     op.mask = mask;
     op.expect = expect;
     op.pollInterval = pollInterval == 0 ? 1 : pollInterval;
-    program_.push_back(std::move(op));
+    enqueue(std::move(op));
 }
 
 void ZynqPs::delay(std::uint64_t cycles) {
     Op op;
     op.kind = OpKind::Delay;
     op.cycles = cycles;
-    program_.push_back(std::move(op));
+    enqueue(std::move(op));
 }
 
 void ZynqPs::waitIrq(IrqLine& line, std::uint64_t wakeLatency) {
@@ -48,7 +48,7 @@ void ZynqPs::waitIrq(IrqLine& line, std::uint64_t wakeLatency) {
     op.kind = OpKind::WaitIrq;
     op.irq = &line;
     op.cycles = wakeLatency;
-    program_.push_back(std::move(op));
+    enqueue(std::move(op));
 }
 
 void ZynqPs::waitIrqWithFallback(IrqLine& line, std::uint64_t address,
@@ -64,6 +64,11 @@ void ZynqPs::waitIrqWithFallback(IrqLine& line, std::uint64_t address,
     op.expect = expect;
     op.pollInterval = pollInterval == 0 ? 1 : pollInterval;
     op.hasIrqFallback = true;
+    enqueue(std::move(op));
+}
+
+void ZynqPs::enqueue(Op op) {
+    wake();
     program_.push_back(std::move(op));
 }
 
@@ -196,6 +201,12 @@ bool ZynqPs::skip(std::uint64_t cycles) {
         return true;
     }
     return false;  // asleep on an IRQ, or idle
+}
+
+void ZynqPs::armWake() {
+    if (irqWaitActive_) {
+        pollingOp_.irq->park(*this);
+    }
 }
 
 bool ZynqPs::idle() const {

@@ -79,6 +79,10 @@ public:
     /// watchdog's deadline), and while idle.
     [[nodiscard]] std::uint64_t quietFor() const override;
     bool skip(std::uint64_t cycles) override;
+    [[nodiscard]] bool canSleep() const override { return true; }
+    /// Parks on the awaited IRQ line; a countdown ends by itself, and
+    /// queueing an op wakes an idle PS.
+    void armWake() override;
     [[nodiscard]] std::string debugState() const override;
 
     // -- statistics ----------------------------------------------------------
@@ -105,6 +109,7 @@ private:
         bool hasIrqFallback = false;
     };
 
+    void enqueue(Op op);
     void startNextOp();
 
     std::string name_;

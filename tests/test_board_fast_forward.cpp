@@ -6,10 +6,12 @@
 // - Golden.BoardRecord pins the record to tests/golden/board_record.txt.
 //   Regenerate on purpose with SOCGEN_UPDATE_GOLDEN=1 and review the diff
 //   like any other code change.
-// - BoardFastForward runs every configuration again with the engine
-//   pinned to one real step per cycle and requires the same record: the
-//   quiet-span fast-forward must be invisible in every counter.
+// - BoardFastForward runs every configuration again with a probe that
+//   makes the engine tick every component on every cycle, and requires
+//   the same record: per-component sleep and the jumps of the clock must
+//   be invisible in every counter.
 
+#include "socgen/apps/kernels.hpp"
 #include "socgen/apps/otsu_project.hpp"
 #include "socgen/common/error.hpp"
 #include "socgen/common/strings.hpp"
@@ -115,18 +117,31 @@ std::vector<BoardConfig> boardConfigs() {
 struct BoardRecord {
     std::string text;          ///< the rendered record (golden material)
     apps::GrayImage output;
-    std::uint64_t probeCalls = 0;  ///< real steps plus quiet spans
+    std::uint64_t probeCalls = 0;  ///< real steps plus jumps
+    std::uint64_t coreTicks = 0;   ///< real tick() calls of all cores
+    bool coreSleptWhileOthersRan = false;  ///< a core had fewer ticks than steps
 };
 
 /// Probe that copies the per-channel counters and monitor state after
-/// every cycle (or quiet span), so the record survives a run that throws.
+/// every real cycle (or jump), so the record survives a run that throws,
+/// and counts the cores' real ticks.
 struct ChannelSnapshot final : sim::Probe {
     soc::SystemSimulator* sim = nullptr;
+    std::vector<std::string> cores;
     std::string text;
     std::uint64_t calls = 0;
+    std::uint64_t coreTicks = 0;
+    bool coreSleptWhileOthersRan = false;
 
     void sample(std::uint64_t /*cycles*/) override {
         ++calls;
+        coreTicks = 0;
+        coreSleptWhileOthersRan = false;
+        for (const std::string& core : cores) {
+            const std::uint64_t ticks = sim->engine().realTicks(sim->core(core));
+            coreTicks += ticks;
+            coreSleptWhileOthersRan |= ticks < sim->engine().steps();
+        }
         text.clear();
         for (std::size_t i = 0; i < sim->channelCount(); ++i) {
             const axi::StreamChannel& ch = sim->channel(i);
@@ -164,6 +179,9 @@ BoardRecord runBoard(const BoardConfig& config,
                 sim.armFaults(injector);
             }
             snapshot.sim = &sim;
+            for (const auto& [node, program] : bc.archs[config.arch - 1].programs) {
+                snapshot.cores.push_back(node);
+            }
             sim.engine().addProbe(snapshot);
         });
         record.output = result.output;
@@ -177,6 +195,8 @@ BoardRecord runBoard(const BoardConfig& config,
     }
     record.text += "channels:\n" + snapshot.text;
     record.probeCalls = snapshot.calls;
+    record.coreTicks = snapshot.coreTicks;
+    record.coreSleptWhileOthersRan = snapshot.coreSleptWhileOthersRan;
     if (!config.plan.empty()) {
         record.text += injector.log() + "\n";
     }
@@ -261,17 +281,12 @@ TEST(Golden, BoardRecord) {
         << "the board record drifted from tests/golden/board_record.txt";
 }
 
-/// Idle and never progressing, but never quiet: registered on a board,
-/// it pins the engine to one real step per cycle.
-class StepPin final : public sim::Component {
+/// Acts on every cycle: the engine then ticks every component on every
+/// cycle and never jumps, which is per-cycle stepping.
+class StepPin final : public sim::Probe {
 public:
-    [[nodiscard]] const std::string& name() const override { return name_; }
-    bool tick() override { return false; }
-    [[nodiscard]] bool idle() const override { return true; }
-    [[nodiscard]] std::uint64_t quietFor() const override { return 0; }
-
-private:
-    std::string name_ = "step_pin";
+    void sample(std::uint64_t /*cycles*/) override {}
+    [[nodiscard]] std::uint64_t horizon() const override { return 0; }
 };
 
 TEST(BoardFastForward, MatchesPerCycleStepping) {
@@ -279,11 +294,15 @@ TEST(BoardFastForward, MatchesPerCycleStepping) {
         StepPin pin;
         const BoardRecord fast = runBoard(config);
         const BoardRecord slow =
-            runBoard(config, [&pin](soc::SystemSimulator& sim) { sim.engine().add(pin); });
+            runBoard(config, [&pin](soc::SystemSimulator& sim) { sim.engine().addProbe(pin); });
         EXPECT_EQ(fast.text, slow.text) << config.label;
         EXPECT_TRUE(fast.output == slow.output) << config.label;
-        // Not vacuous: the free run really skipped quiet spans.
+        // Not vacuous: the free run jumped the clock, and its cores slept
+        // through cycles on which other components ticked.
         EXPECT_LT(fast.probeCalls, slow.probeCalls) << config.label;
+        EXPECT_LT(fast.coreTicks, slow.coreTicks) << config.label;
+        EXPECT_TRUE(fast.coreSleptWhileOthersRan) << config.label;
+        EXPECT_FALSE(slow.coreSleptWhileOthersRan) << config.label;
     }
 }
 
@@ -292,8 +311,51 @@ TEST(BoardFastForward, WedgeVerdictsMatchPerCycleStepping) {
         StepPin pin;
         EXPECT_EQ(literalWedge(interrupts),
                   literalWedge(interrupts,
-                               [&pin](soc::SystemSimulator& sim) { sim.engine().add(pin); }))
+                               [&pin](soc::SystemSimulator& sim) { sim.engine().addProbe(pin); }))
             << (interrupts ? "interrupts" : "polling");
+    }
+}
+
+/// A core started over AXI-Lite (the Otsu cores start themselves): the
+/// PS's register writes must wake it on the cycle they land, and its
+/// done edge or status must wake the PS, under both drivers.
+std::string liteStartedCore(bool interrupts, bool pinned) {
+    hls::KernelLibrary kernels;
+    kernels.add(apps::makeAddKernel());
+    const core::FlowResult result = core::runDslText(R"(
+object liteadd extends App {
+  tg nodes; tg node "ADD" i "A" i "B" i "return" end; tg end_nodes;
+  tg edges; tg connect "ADD"; tg end_edges;
+}
+)",
+                                                     kernels);
+    soc::SystemOptions options;
+    options.useInterrupts = interrupts;
+    soc::SystemSimulator sim(result.design, result.programs, options);
+    StepPin pin;
+    if (pinned) {
+        sim.engine().addProbe(pin);
+    }
+    std::string text;
+    for (const std::uint32_t a : {40U, 7U}) {
+        sim.ps().delay(500);
+        sim.psSetCoreArg("ADD", "A", a);
+        sim.psSetCoreArg("ADD", "B", 2);
+        sim.psStartCore("ADD");
+        sim.psWaitCore("ADD");
+        const std::uint64_t cycles = sim.run();
+        text += format("cycles %llu return %llu\n", static_cast<unsigned long long>(cycles),
+                       static_cast<unsigned long long>(sim.core("ADD").result("return")));
+    }
+    return text + sim.report() + sim.engine().snapshot().render();
+}
+
+TEST(BoardFastForward, LiteStartedCoreMatchesPerCycleStepping) {
+    for (const bool interrupts : {false, true}) {
+        const std::string fast = liteStartedCore(interrupts, false);
+        EXPECT_EQ(fast, liteStartedCore(interrupts, true)) << (interrupts ? "interrupts" : "polling");
+        EXPECT_NE(fast.find("return 42"), std::string::npos) << fast;
+        EXPECT_NE(fast.find("return 9"), std::string::npos) << fast;
     }
 }
 

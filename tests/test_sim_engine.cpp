@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace socgen::sim {
 namespace {
 
@@ -188,17 +191,25 @@ public:
     std::uint64_t quietFor() const override { return kUnbounded; }
 };
 
-/// Idle and never progressing, but never quiet: pins the engine to one
-/// real step per cycle.
-class StepPin : public Component {
+/// A Countdown and a Parked that sleep through their quiet spans instead
+/// of only letting the clock jump.
+class SleepingCountdown : public Countdown {
 public:
-    const std::string& name() const override { return name_; }
-    bool tick() override { return false; }
-    bool idle() const override { return true; }
-    std::uint64_t quietFor() const override { return 0; }
+    using Countdown::Countdown;
+    bool canSleep() const override { return true; }
+};
 
-private:
-    std::string name_ = "pin";
+class SleepingParked : public Parked {
+public:
+    bool canSleep() const override { return true; }
+};
+
+/// Acts on every cycle: the engine then ticks every component on every
+/// cycle and never jumps, which is per-cycle stepping.
+class StepPin final : public Probe {
+public:
+    void sample(std::uint64_t /*cycles*/) override {}
+    std::uint64_t horizon() const override { return 0; }
 };
 
 struct EngineOutcome {
@@ -211,16 +222,18 @@ struct EngineOutcome {
 /// Runs a 10k-cycle countdown beside a parked component, either as is
 /// or pinned to per-cycle stepping.
 EngineOutcome runCountdownThenPark(bool pinned, std::uint64_t maxCycles,
-                                   std::uint64_t stallLimit) {
+                                   std::uint64_t stallLimit, bool sleeping = false) {
     Engine engine;
     Countdown countdown("countdown", 10'000);
     Parked parked;
+    SleepingCountdown sleepingCountdown("countdown", 10'000);
+    SleepingParked sleepingParked;
     StepPin pin;
     CycleCounter probe;
-    engine.add(countdown);
-    engine.add(parked);
+    engine.add(sleeping ? sleepingCountdown : countdown);
+    engine.add(sleeping ? static_cast<Component&>(sleepingParked) : parked);
     if (pinned) {
-        engine.add(pin);
+        engine.addProbe(pin);
     }
     engine.addProbe(probe);
     EngineOutcome out;
@@ -230,9 +243,6 @@ EngineOutcome runCountdownThenPark(bool pinned, std::uint64_t maxCycles,
         out.error = e.report().render() + "\nstall cycles " +
                     std::to_string(e.report().stallCycles);
         for (const auto& c : e.report().components) {
-            if (c.name == "pin") {
-                continue;  // present only in the pinned run
-            }
             out.error += "\n" + c.name + " last progress " + std::to_string(c.lastProgressCycle);
         }
     } catch (const SimulationError& e) {
@@ -259,7 +269,20 @@ TEST(Engine, DeadlockAfterQuietCountdownFiresAtTheSameCycle) {
     EXPECT_NE(fast.error.find("stall cycles 500"), std::string::npos);
     EXPECT_EQ(fast.probeCycles, slow.probeCycles);
     EXPECT_EQ(slow.probeCalls, slow.probeCycles);
-    // Spans stop short of the stall limit, so a few dozen calls cover it.
+    // The clock jumps over the countdown and the parked stall.
+    EXPECT_LT(fast.probeCalls, fast.probeCycles / 100);
+}
+
+TEST(Engine, SleepingCountdownHoldsOffTheDeadlockVerdict) {
+    // The countdown sleeps through 10k progressing cycles, 20 times the
+    // stall limit; only settling it shows that progress.
+    const EngineOutcome fast = runCountdownThenPark(false, 1'000'000, 500, true);
+    const EngineOutcome slow = runCountdownThenPark(true, 1'000'000, 500, true);
+    EXPECT_EQ(slow.now, 10'500u);
+    EXPECT_EQ(fast.now, slow.now);
+    EXPECT_EQ(fast.error, slow.error);
+    EXPECT_NE(fast.error.find("countdown last progress 9999"), std::string::npos)
+        << fast.error;
     EXPECT_LT(fast.probeCalls, fast.probeCycles / 100);
 }
 
@@ -286,7 +309,281 @@ TEST(Engine, QuietSpansEndOnTheFinalRealStep) {
     engine.addProbe(probe);
     EXPECT_EQ(engine.runUntilIdle(), 10'000u);
     EXPECT_EQ(probe.observed, 10'000u);
-    EXPECT_LE(probe.calls, 3u);  // one span, then the countdown's last tick
+    EXPECT_LE(probe.calls, 3u);  // one jump, then the countdown's last tick
+}
+
+/// A one-letter mailbox: the smallest wake source. Posting wakes the
+/// component parked on it.
+struct Mailbox {
+    bool full = false;
+    Component* parked = nullptr;
+
+    void post() {
+        if (parked != nullptr) {
+            std::exchange(parked, nullptr)->wake();
+        }
+        full = true;
+    }
+};
+
+/// Posts a letter on each of the given cycles and sleeps in between.
+class Sender : public Component {
+public:
+    Sender(const Engine& engine, Mailbox& box, std::vector<std::uint64_t> at)
+        : engine_(engine), box_(box), at_(std::move(at)) {}
+
+    const std::string& name() const override { return name_; }
+    bool tick() override {
+        if (next_ < at_.size() && engine_.now() == at_[next_]) {
+            box_.post();
+            ++next_;
+            return true;
+        }
+        return false;
+    }
+    bool idle() const override { return next_ == at_.size(); }
+    std::uint64_t quietFor() const override {
+        return idle() ? kUnbounded : at_[next_] - engine_.now() - 1;
+    }
+    bool canSleep() const override { return true; }
+
+private:
+    std::string name_ = "sender";
+    const Engine& engine_;
+    Mailbox& box_;
+    std::vector<std::uint64_t> at_;
+    std::size_t next_ = 0;
+};
+
+/// Waits for `expected` letters, sleeping while the box is empty. `age`
+/// counts every cycle, ticked or slept; `waited` the ones spent waiting.
+class Receiver : public Component {
+public:
+    Receiver(const Engine& engine, Mailbox& box, std::size_t expected)
+        : engine_(engine), box_(box), expected_(expected) {}
+
+    const std::string& name() const override { return name_; }
+    bool tick() override {
+        ++age;
+        if (box_.full) {
+            box_.full = false;
+            received.push_back(engine_.now());
+            return true;
+        }
+        if (!idle()) {
+            ++waited;
+        }
+        return false;
+    }
+    bool idle() const override { return received.size() == expected_; }
+    std::uint64_t quietFor() const override { return box_.full ? 0 : kUnbounded; }
+    bool skip(std::uint64_t cycles) override {
+        age += cycles;
+        if (!idle()) {
+            waited += cycles;
+        }
+        return false;
+    }
+    bool canSleep() const override { return true; }
+    void armWake() override { box_.parked = this; }
+    std::string debugState() const override {
+        return "waited " + std::to_string(waited) + " cycles";
+    }
+
+    std::vector<std::uint64_t> received;
+    std::uint64_t age = 0;
+    std::uint64_t waited = 0;
+
+private:
+    std::string name_ = "receiver";
+    const Engine& engine_;
+    Mailbox& box_;
+    std::size_t expected_;
+};
+
+struct Delivery {
+    std::vector<std::uint64_t> received;
+    std::uint64_t waited = 0;
+    std::uint64_t receiverTicks = 0;
+    std::uint64_t cycles = 0;
+};
+
+Delivery deliver(bool senderFirst, bool pinned) {
+    Engine engine;
+    Mailbox box;
+    Sender sender(engine, box, {100, 250, 251});
+    Receiver receiver(engine, box, 3);
+    StepPin pin;
+    if (senderFirst) {
+        engine.add(sender);
+        engine.add(receiver);
+    } else {
+        engine.add(receiver);
+        engine.add(sender);
+    }
+    if (pinned) {
+        engine.addProbe(pin);
+    }
+    Delivery out;
+    out.cycles = engine.runUntilIdle();
+    out.received = receiver.received;
+    out.waited = receiver.waited;
+    out.receiverTicks = engine.realTicks(receiver);
+    return out;
+}
+
+TEST(Engine, EarlierProducerWakesLaterConsumerOnTheSameCycle) {
+    const Delivery fast = deliver(true, false);
+    const Delivery slow = deliver(true, true);
+    EXPECT_EQ(fast.received, (std::vector<std::uint64_t>{100, 250, 251}));
+    EXPECT_EQ(fast.received, slow.received);
+    EXPECT_EQ(fast.waited, slow.waited);
+    EXPECT_EQ(fast.cycles, slow.cycles);
+    EXPECT_EQ(slow.receiverTicks, slow.cycles);
+    EXPECT_LT(fast.receiverTicks, 10u);  // it slept between the letters
+}
+
+TEST(Engine, LaterProducerWakesEarlierConsumerOnTheNextCycle) {
+    const Delivery fast = deliver(false, false);
+    const Delivery slow = deliver(false, true);
+    EXPECT_EQ(fast.received, (std::vector<std::uint64_t>{101, 251, 252}));
+    EXPECT_EQ(fast.received, slow.received);
+    EXPECT_EQ(fast.waited, slow.waited);
+    EXPECT_EQ(fast.cycles, slow.cycles);
+    EXPECT_LT(fast.receiverTicks, 10u);
+}
+
+/// Snapshots the engine once, while observing the cycles that cross
+/// `at`, and records what the receiver had waited by then.
+class Snooper final : public Probe {
+public:
+    Snooper(Engine& engine, const Receiver& receiver, std::uint64_t at)
+        : engine_(engine), receiver_(receiver), at_(at) {}
+
+    void sample(std::uint64_t cycles) override {
+        if (taken || engine_.now() + cycles <= at_) {
+            return;
+        }
+        taken = true;
+        observedEnd = engine_.now() + cycles;
+        report = engine_.snapshot();
+        waitedThen = receiver_.waited;
+    }
+
+    bool taken = false;
+    std::uint64_t observedEnd = 0;
+    std::uint64_t waitedThen = 0;
+    DeadlockReport report;
+
+private:
+    Engine& engine_;
+    const Receiver& receiver_;
+    std::uint64_t at_;
+};
+
+TEST(Engine, SleepingConsumerIsSettledBeforeSnapshotAndVerdicts) {
+    Engine engine;
+    Mailbox box;
+    Receiver receiver(engine, box, 1);  // no letter ever comes
+    Worker busy("busy", 1'000);         // keeps the engine stepping meanwhile
+    Snooper snooper(engine, receiver, 500);
+    engine.add(receiver);
+    engine.add(busy);
+    engine.addProbe(snooper);
+    try {
+        (void)engine.runUntilIdle(1'000'000, 2'000);
+        FAIL() << "expected a deadlock";
+    } catch (const DeadlockError& e) {
+        // A snapshot taken mid-run, while the receiver slept: every cycle
+        // observed so far was a wait.
+        ASSERT_TRUE(snooper.taken);
+        EXPECT_EQ(snooper.observedEnd, 501u);
+        EXPECT_EQ(snooper.waitedThen, 501u);
+        ASSERT_EQ(snooper.report.components.size(), 2u);
+        EXPECT_EQ(snooper.report.components[0].detail, "waited 501 cycles");
+        // The verdict's report, at the cycle per-cycle stepping reaches:
+        // busy progressed through cycle 999.
+        EXPECT_EQ(e.report().cycle, 3'000u);
+        EXPECT_EQ(e.report().stallCycles, 2'000u);
+        EXPECT_EQ(e.report().components[0].detail, "waited 3000 cycles");
+        EXPECT_EQ(e.report().components[1].lastProgressCycle, 999u);
+        EXPECT_EQ(receiver.waited, 3'000u);
+    }
+    // A fixed run ends settled too, and so does a later snapshot.
+    engine.run(300);
+    EXPECT_EQ(receiver.waited, 3'300u);
+    EXPECT_EQ(engine.snapshot().components[0].detail, "waited 3300 cycles");
+    EXPECT_LT(engine.realTicks(receiver), 10u);
+}
+
+/// Keeps the default canSleep(): idle, never progressing, counting its
+/// ticks; its idle() copies the receiver's age, as perfbench's counter
+/// probe copies the board's counters on the final all-idle verdict.
+class IdleRecorder : public Component {
+public:
+    explicit IdleRecorder(const Receiver& receiver) : receiver_(receiver) {}
+
+    const std::string& name() const override { return name_; }
+    bool tick() override {
+        ++ticks;
+        return false;
+    }
+    bool idle() const override {
+        copiedAge = receiver_.age;
+        return true;
+    }
+
+    std::uint64_t ticks = 0;
+    mutable std::uint64_t copiedAge = 0;
+
+private:
+    std::string name_ = "recorder";
+    const Receiver& receiver_;
+};
+
+TEST(Engine, DefaultComponentsTickOnEveryRealCycle) {
+    Engine engine;
+    Mailbox box;
+    Sender sender(engine, box, {100, 250, 400});
+    Receiver receiver(engine, box, 3);
+    IdleRecorder recorder(receiver);
+    Worker busy("busy", 50);  // never quiet while it works
+    engine.add(sender);
+    engine.add(receiver);
+    engine.add(recorder);
+    engine.add(busy);
+    const std::uint64_t cycles = engine.runUntilIdle();
+    EXPECT_EQ(cycles, 401u);
+    EXPECT_EQ(engine.realTicks(recorder), engine.steps());
+    EXPECT_EQ(recorder.ticks, engine.steps());
+    EXPECT_EQ(engine.realTicks(busy), engine.steps());
+    EXPECT_GE(engine.steps(), 50u);      // busy's 50 cycles are all real
+    EXPECT_LT(engine.steps(), cycles);   // and the clock jumped after them
+    // The receiver slept through cycles on which the others ticked.
+    EXPECT_LT(engine.realTicks(receiver), engine.steps());
+}
+
+TEST(Engine, FinalVerdictAsksEveryComponentAfterSettling) {
+    for (const bool pinned : {false, true}) {
+        Engine engine;
+        Mailbox box;
+        Sender sender(engine, box, {100, 250});
+        Receiver receiver(engine, box, 2);  // idle, and asleep, after 250
+        IdleRecorder recorder(receiver);    // registered first
+        Worker busy("busy", 300);
+        StepPin pin;
+        engine.add(recorder);
+        engine.add(sender);
+        engine.add(receiver);
+        engine.add(busy);
+        if (pinned) {
+            engine.addProbe(pin);
+        }
+        const std::uint64_t cycles = engine.runUntilIdle();
+        EXPECT_EQ(cycles, 300u);
+        EXPECT_EQ(receiver.age, cycles);
+        EXPECT_EQ(recorder.copiedAge, cycles) << (pinned ? "pinned" : "free");
+    }
 }
 
 TEST(Engine, FixedRunIgnoresIdle) {
