@@ -7,14 +7,19 @@
 namespace socgen {
 
 std::string format(const char* fmt, ...) {
+    // One vsnprintf into a stack buffer covers nearly every call; only a
+    // longer result pays a second pass, straight into the string.
+    char buffer[256];
     std::va_list args;
     va_start(args, fmt);
     std::va_list argsCopy;
     va_copy(argsCopy, args);
-    const int needed = std::vsnprintf(nullptr, 0, fmt, args);
+    const int needed = std::vsnprintf(buffer, sizeof buffer, fmt, args);
     va_end(args);
     std::string out;
-    if (needed > 0) {
+    if (needed > 0 && static_cast<std::size_t>(needed) < sizeof buffer) {
+        out.assign(buffer, static_cast<std::size_t>(needed));
+    } else if (needed > 0) {
         out.resize(static_cast<std::size_t>(needed));
         std::vsnprintf(out.data(), out.size() + 1, fmt, argsCopy);
     }
@@ -94,17 +99,21 @@ bool isIdentifier(std::string_view text) {
     return true;
 }
 
-std::string sanitizeIdentifier(std::string_view text) {
-    std::string out;
-    out.reserve(text.size() + 1);
+void appendIdentifier(std::string& out, std::string_view text) {
+    if (text.empty() || (text.front() >= '0' && text.front() <= '9')) {
+        out.push_back('x');
+    }
     for (char c : text) {
         const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                         (c >= '0' && c <= '9') || c == '_';
         out.push_back(ok ? c : '_');
     }
-    if (out.empty() || (out.front() >= '0' && out.front() <= '9')) {
-        out.insert(out.begin(), 'x');
-    }
+}
+
+std::string sanitizeIdentifier(std::string_view text) {
+    std::string out;
+    out.reserve(text.size() + 1);
+    appendIdentifier(out, text);
     return out;
 }
 

@@ -34,6 +34,9 @@ bool isIdentifier(std::string_view text);
 /// entity names and /dev node names from user-visible node names.
 std::string sanitizeIdentifier(std::string_view text);
 
+/// Appends sanitizeIdentifier(text) to `out` without a temporary string.
+void appendIdentifier(std::string& out, std::string_view text);
+
 /// Counts '\n'-separated lines (a trailing fragment without newline counts).
 std::size_t countLines(std::string_view text);
 

@@ -75,6 +75,7 @@ PinSpec pinSpec(CellKind kind) {
 }
 
 NetId Netlist::addNet(std::string name, unsigned width) {
+    checked_.set(false);
     nets_.push_back(Net{std::move(name), width, kInvalid});
     return static_cast<NetId>(nets_.size() - 1);
 }
@@ -82,6 +83,7 @@ NetId Netlist::addNet(std::string name, unsigned width) {
 CellId Netlist::addCell(std::string name, CellKind kind, unsigned width,
                         std::vector<NetId> inputs, std::vector<NetId> outputs,
                         std::int64_t param) {
+    checked_.set(false);
     const auto id = static_cast<CellId>(cells_.size());
     for (NetId out : outputs) {
         require(out < nets_.size(), "cell output net out of range");
@@ -97,6 +99,7 @@ CellId Netlist::addCell(std::string name, CellKind kind, unsigned width,
 }
 
 void Netlist::addPort(std::string name, PortDir dir, unsigned width, NetId net) {
+    checked_.set(false);
     require(net < nets_.size(), "port net out of range");
     ports_.push_back(Port{std::move(name), dir, width, net});
 }
@@ -133,6 +136,9 @@ std::size_t Netlist::countKind(CellKind kind) const {
 }
 
 void Netlist::check() const {
+    if (checked_.get()) {
+        return;
+    }
     // Input-port nets are externally driven.
     std::vector<bool> externallyDriven(nets_.size(), false);
     for (const auto& p : ports_) {
@@ -188,6 +194,7 @@ void Netlist::check() const {
         }
     }
     (void)topoOrder();  // throws on combinational cycles
+    checked_.set(true);
 }
 
 std::vector<CellId> Netlist::topoOrder() const {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -102,6 +103,8 @@ public:
     /// Structural sanity: every net (except input-port nets) has exactly
     /// one driver, cell pin counts match their kind, no dangling ids.
     /// Throws socgen::Error with a description of the first violation.
+    /// A passing check is remembered until the next addNet/addCell/addPort,
+    /// so the code generator and both HDL emitters check a netlist once.
     void check() const;
 
     /// Combinational cells in topological (evaluation) order. Throws on a
@@ -113,6 +116,21 @@ private:
     std::vector<Net> nets_;
     std::vector<Cell> cells_;
     std::vector<Port> ports_;
+
+    /// Set by a passing check(), cleared by every mutation. Atomic so that
+    /// threads checking one shared netlist do not race; copies carry it.
+    struct CheckedFlag {
+        std::atomic<bool> value{false};
+        CheckedFlag() = default;
+        CheckedFlag(const CheckedFlag& other) : value(other.get()) {}
+        CheckedFlag& operator=(const CheckedFlag& other) {
+            set(other.get());
+            return *this;
+        }
+        [[nodiscard]] bool get() const { return value.load(std::memory_order_relaxed); }
+        void set(bool v) { value.store(v, std::memory_order_relaxed); }
+    };
+    mutable CheckedFlag checked_;
 };
 
 /// Expected input/output pin counts for a cell kind ({-1,…} = variadic).

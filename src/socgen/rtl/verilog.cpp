@@ -2,19 +2,19 @@
 
 #include "socgen/common/error.hpp"
 #include "socgen/common/strings.hpp"
-
-#include <sstream>
+#include "socgen/rtl/hdl_writer.hpp"
 
 namespace socgen::rtl {
 
 namespace {
 
-std::string wireName(const Netlist& n, NetId id) {
-    return format("w%u_%s", id, sanitizeIdentifier(n.net(id).name).c_str());
-}
+/// A vector range, `[<width-1>:0] `; a 1-bit signal has none.
+struct Range {
+    unsigned width;
+};
 
-std::string rangeOf(unsigned width) {
-    return width == 1 ? "" : format("[%u:0] ", width - 1);
+HdlWriter& operator<<(HdlWriter& out, Range range) {
+    return range.width == 1 ? out : out << '[' << (range.width - 1) << ":0] ";
 }
 
 const char* binaryOperator(CellKind kind) {
@@ -43,14 +43,17 @@ const char* binaryOperator(CellKind kind) {
 
 std::string VerilogEmitter::emit(const Netlist& n) const {
     n.check();
-    std::ostringstream out;
-    const std::string module = sanitizeIdentifier(n.name());
+    const NetNames wire(n, 'w');
+    // 5-30% over the text of the app library's cores.
+    HdlWriter out(48 * (n.nets().size() + n.cells().size() + n.ports().size()) +
+                  2 * wire.bytes());
+    const Identifier module{n.name()};
 
     out << "// Generated by socgen (HLS output stage)\n";
     out << "module " << module << " (\n  input wire clk,\n  input wire rst";
     for (const auto& p : n.ports()) {
         out << ",\n  " << (p.dir == PortDir::In ? "input" : "output") << " wire "
-            << rangeOf(p.width) << sanitizeIdentifier(p.name);
+            << Range{p.width} << Identifier{p.name};
     }
     out << "\n);\n\n";
 
@@ -62,13 +65,13 @@ std::string VerilogEmitter::emit(const Netlist& n) const {
         }
     }
     for (NetId id = 0; id < n.nets().size(); ++id) {
-        out << "  " << (isSequential[id] ? "reg " : "wire ")
-            << rangeOf(n.net(id).width) << wireName(n, id) << ";\n";
+        out << "  " << (isSequential[id] ? "reg " : "wire ") << Range{n.nets()[id].width}
+            << wire[id] << ";\n";
     }
     for (const auto& c : n.cells()) {
         if (c.kind == CellKind::Bram) {
-            out << "  reg " << rangeOf(c.width) << sanitizeIdentifier(c.name)
-                << "_mem [0:" << (c.param - 1) << "];\n";
+            out << "  reg " << Range{c.width} << Identifier{c.name} << "_mem [0:"
+                << (c.param - 1) << "];\n";
         }
     }
     out << '\n';
@@ -76,48 +79,45 @@ std::string VerilogEmitter::emit(const Netlist& n) const {
     // Port bridging.
     for (const auto& p : n.ports()) {
         if (p.dir == PortDir::In) {
-            out << "  assign " << wireName(n, p.net) << " = "
-                << sanitizeIdentifier(p.name) << ";\n";
+            out << "  assign " << wire[p.net] << " = " << Identifier{p.name} << ";\n";
         } else {
-            out << "  assign " << sanitizeIdentifier(p.name) << " = "
-                << wireName(n, p.net) << ";\n";
+            out << "  assign " << Identifier{p.name} << " = " << wire[p.net] << ";\n";
         }
     }
     out << '\n';
 
-    const auto in = [&](const Cell& c, std::size_t i) { return wireName(n, c.inputs[i]); };
     for (const auto& c : n.cells()) {
-        const std::string y = wireName(n, c.outputs[0]);
-        const std::string cellName = sanitizeIdentifier(c.name);
+        const std::string_view y = wire[c.outputs[0]];
+        const auto in = [&](std::size_t i) { return wire[c.inputs[i]]; };
         switch (c.kind) {
         case CellKind::Const:
-            out << format("  assign %s = %u'd%llu;\n", y.c_str(), c.width,
-                          static_cast<unsigned long long>(
-                              static_cast<std::uint64_t>(c.param)));
+            out << "  assign " << y << " = " << c.width << "'d"
+                << static_cast<std::uint64_t>(c.param) << ";\n";
             break;
         case CellKind::Not:
-            out << "  assign " << y << " = ~" << in(c, 0) << ";\n";
+            out << "  assign " << y << " = ~" << in(0) << ";\n";
             break;
         case CellKind::Mux:
-            out << "  assign " << y << " = (" << in(c, 0) << " != 0) ? " << in(c, 2)
-                << " : " << in(c, 1) << ";\n";
+            out << "  assign " << y << " = (" << in(0) << " != 0) ? " << in(2) << " : "
+                << in(1) << ";\n";
             break;
         case CellKind::Reg:
             out << "  always @(posedge clk) begin\n"
                 << "    if (rst) " << y << " <= 0;\n";
             if (c.inputs.size() > 1) {
-                out << "    else if (" << in(c, 1) << " != 0) " << y << " <= " << in(c, 0)
+                out << "    else if (" << in(1) << " != 0) " << y << " <= " << in(0)
                     << ";\n";
             } else {
-                out << "    else " << y << " <= " << in(c, 0) << ";\n";
+                out << "    else " << y << " <= " << in(0) << ";\n";
             }
             out << "  end\n";
             break;
         case CellKind::Bram:
             out << "  always @(posedge clk) begin\n"
-                << "    if (" << in(c, 2) << " != 0) " << cellName << "_mem[" << in(c, 0)
-                << "] <= " << in(c, 1) << ";\n"
-                << "    " << y << " <= " << cellName << "_mem[" << in(c, 0) << "];\n"
+                << "    if (" << in(2) << " != 0) " << Identifier{c.name} << "_mem["
+                << in(0) << "] <= " << in(1) << ";\n"
+                << "    " << y << " <= " << Identifier{c.name} << "_mem[" << in(0)
+                << "];\n"
                 << "  end\n";
             break;
         case CellKind::Fsm:
@@ -133,14 +133,14 @@ std::string VerilogEmitter::emit(const Netlist& n) const {
                 throw Error(format("verilog: unsupported cell kind %s",
                                    std::string(cellKindName(c.kind)).c_str()));
             }
-            out << "  assign " << y << " = " << in(c, 0) << ' ' << op << ' ' << in(c, 1)
+            out << "  assign " << y << " = " << in(0) << ' ' << op << ' ' << in(1)
                 << ";\n";
             break;
         }
         }
     }
     out << "\nendmodule\n";
-    return out.str();
+    return out.take();
 }
 
 } // namespace socgen::rtl

@@ -2,43 +2,63 @@
 
 #include "socgen/common/error.hpp"
 #include "socgen/common/strings.hpp"
-
-#include <sstream>
+#include "socgen/rtl/hdl_writer.hpp"
 
 namespace socgen::rtl {
 
 namespace {
 
-std::string sigName(const Netlist& n, NetId id) {
-    // Prefix with the net id so generated signal names are unique and can
-    // never collide with entity port names.
-    return format("s%u_%s", id, sanitizeIdentifier(n.net(id).name).c_str());
-}
+/// `std_logic` for one bit, else `std_logic_vector(<width-1> downto 0)`.
+struct TypeOf {
+    unsigned width;
+};
 
-std::string typeOf(unsigned width) {
-    if (width == 1) {
-        return "std_logic";
+HdlWriter& operator<<(HdlWriter& out, TypeOf type) {
+    if (type.width == 1) {
+        return out << "std_logic";
     }
-    return format("std_logic_vector(%u downto 0)", width - 1);
+    return out << "std_logic_vector(" << (type.width - 1) << " downto 0)";
 }
 
-std::string asUnsigned(const Netlist& n, NetId id) {
-    const auto& net = n.net(id);
-    if (net.width == 1) {
-        return format("unsigned'(\"\" & %s)", sigName(n, id).c_str());
+/// A net read as numeric_std unsigned; a 1-bit std_logic is first made a
+/// one-element vector.
+struct AsUnsigned {
+    std::string_view signal;
+    unsigned width;  ///< the net's width
+};
+
+HdlWriter& operator<<(HdlWriter& out, AsUnsigned value) {
+    if (value.width == 1) {
+        return out << "unsigned'(\"\" & " << value.signal << ')';
     }
-    return format("unsigned(%s)", sigName(n, id).c_str());
+    return out << "unsigned(" << value.signal << ')';
 }
 
-std::string fromUnsigned(unsigned width, const std::string& expr) {
-    if (width == 1) {
-        return format("%s(0)", expr.c_str());
-    }
-    return format("std_logic_vector(%s)", expr.c_str());
+/// An operand resized to the cell's width.
+struct Resized {
+    AsUnsigned value;
+    unsigned width;
+};
+
+HdlWriter& operator<<(HdlWriter& out, Resized r) {
+    return out << "resize(" << r.value << ", " << r.width << ')';
 }
 
-std::string resized(const Netlist& n, NetId id, unsigned width) {
-    return format("resize(%s, %u)", asUnsigned(n, id).c_str(), width);
+/// The two halves around an unsigned expression that convert it back to
+/// the output's type: `std_logic_vector(...)`, or `(...)(0)` for one bit.
+struct FromUnsignedOpen {
+    unsigned width;
+};
+struct FromUnsignedClose {
+    unsigned width;
+};
+
+HdlWriter& operator<<(HdlWriter& out, FromUnsignedOpen open) {
+    return open.width == 1 ? out : out << "std_logic_vector(";
+}
+
+HdlWriter& operator<<(HdlWriter& out, FromUnsignedClose close) {
+    return out << (close.width == 1 ? "(0)" : ")");
 }
 
 const char* binaryOperator(CellKind kind) {
@@ -71,8 +91,11 @@ const char* compareOperator(CellKind kind) {
 
 std::string VhdlEmitter::emit(const Netlist& n) const {
     n.check();
-    std::ostringstream out;
-    const std::string entity = sanitizeIdentifier(n.name());
+    const NetNames sig(n, 's');
+    // 5-30% over the text of the app library's cores.
+    HdlWriter out(96 * (n.nets().size() + n.cells().size() + n.ports().size()) +
+                  3 * sig.bytes());
+    const Identifier entity{n.name()};
 
     out << "-- Generated by socgen (HLS output stage)\n";
     out << "library ieee;\n";
@@ -83,8 +106,8 @@ std::string VhdlEmitter::emit(const Netlist& n) const {
     out << "    clk : in std_logic;\n";
     out << "    rst : in std_logic";
     for (const auto& p : n.ports()) {
-        out << ";\n    " << sanitizeIdentifier(p.name) << " : "
-            << (p.dir == PortDir::In ? "in" : "out") << ' ' << typeOf(p.width);
+        out << ";\n    " << Identifier{p.name} << " : "
+            << (p.dir == PortDir::In ? "in" : "out") << ' ' << TypeOf{p.width};
     }
     out << "\n  );\nend entity " << entity << ";\n\n";
 
@@ -92,15 +115,15 @@ std::string VhdlEmitter::emit(const Netlist& n) const {
     // Every net becomes an internal signal; ports are bridged to their
     // net's signal below, which keeps emission uniform and collision-free.
     for (NetId id = 0; id < n.nets().size(); ++id) {
-        out << "  signal " << sigName(n, id) << " : " << typeOf(n.net(id).width) << ";\n";
+        out << "  signal " << sig[id] << " : " << TypeOf{n.nets()[id].width} << ";\n";
     }
     // BRAM array types.
     for (const auto& c : n.cells()) {
         if (c.kind == CellKind::Bram) {
-            out << "  type " << sanitizeIdentifier(c.name) << "_t is array (0 to "
-                << (c.param - 1) << ") of " << typeOf(c.width) << ";\n";
-            out << "  signal " << sanitizeIdentifier(c.name) << "_mem : "
-                << sanitizeIdentifier(c.name) << "_t;\n";
+            const Identifier cell{c.name};
+            out << "  type " << cell << "_t is array (0 to " << (c.param - 1) << ") of "
+                << TypeOf{c.width} << ";\n";
+            out << "  signal " << cell << "_mem : " << cell << "_t;\n";
         }
     }
     out << "begin\n";
@@ -108,119 +131,101 @@ std::string VhdlEmitter::emit(const Netlist& n) const {
     // Bridge ports to their internal net signals.
     for (const auto& p : n.ports()) {
         if (p.dir == PortDir::In) {
-            out << "  " << sigName(n, p.net) << " <= " << sanitizeIdentifier(p.name)
-                << ";\n";
+            out << "  " << sig[p.net] << " <= " << Identifier{p.name} << ";\n";
         } else {
-            out << "  " << sanitizeIdentifier(p.name) << " <= " << sigName(n, p.net)
-                << ";\n";
+            out << "  " << Identifier{p.name} << " <= " << sig[p.net] << ";\n";
         }
     }
 
     for (const auto& c : n.cells()) {
-        const std::string cellName = sanitizeIdentifier(c.name);
+        const Identifier cell{c.name};
+        const std::string_view y = sig[c.outputs[0]];
+        const unsigned w = c.width;
+        const FromUnsignedOpen open{w};
+        const FromUnsignedClose close{w};
+        const auto in = [&](std::size_t i) {
+            return AsUnsigned{sig[c.inputs[i]], n.nets()[c.inputs[i]].width};
+        };
+        const auto resizedIn = [&](std::size_t i) { return Resized{in(i), w}; };
         switch (c.kind) {
-        case CellKind::Const: {
-            out << "  " << sigName(n, c.outputs[0]) << " <= "
-                << fromUnsigned(c.width,
-                                format("to_unsigned(%lld, %u)",
-                                       static_cast<long long>(c.param), c.width))
-                << ";\n";
+        case CellKind::Const:
+            out << "  " << y << " <= " << open << "to_unsigned(" << c.param << ", " << w
+                << ')' << close << ";\n";
             break;
-        }
-        case CellKind::Not: {
-            out << "  " << sigName(n, c.outputs[0]) << " <= "
-                << fromUnsigned(c.width,
-                                format("not %s", resized(n, c.inputs[0], c.width).c_str()))
-                << ";\n";
+        case CellKind::Not:
+            out << "  " << y << " <= " << open << "not " << resizedIn(0) << close << ";\n";
             break;
-        }
         case CellKind::Shl:
-        case CellKind::Shr: {
-            const char* fn = c.kind == CellKind::Shl ? "shift_left" : "shift_right";
-            out << "  " << sigName(n, c.outputs[0]) << " <= "
-                << fromUnsigned(c.width, format("%s(%s, to_integer(%s))", fn,
-                                                resized(n, c.inputs[0], c.width).c_str(),
-                                                asUnsigned(n, c.inputs[1]).c_str()))
-                << ";\n";
+        case CellKind::Shr:
+            out << "  " << y << " <= " << open
+                << (c.kind == CellKind::Shl ? "shift_left" : "shift_right") << '('
+                << resizedIn(0) << ", to_integer(" << in(1) << "))" << close << ";\n";
             break;
-        }
-        case CellKind::Mux: {
-            out << "  " << sigName(n, c.outputs[0]) << " <= "
-                << fromUnsigned(c.width, resized(n, c.inputs[1], c.width)) << " when "
-                << asUnsigned(n, c.inputs[0]) << " = 0 else "
-                << fromUnsigned(c.width, resized(n, c.inputs[2], c.width)) << ";\n";
+        case CellKind::Mux:
+            out << "  " << y << " <= " << open << resizedIn(1) << close << " when " << in(0)
+                << " = 0 else " << open << resizedIn(2) << close << ";\n";
             break;
-        }
-        case CellKind::Reg: {
-            out << "  " << cellName << "_p : process (clk)\n  begin\n"
+        case CellKind::Reg:
+            out << "  " << cell << "_p : process (clk)\n  begin\n"
                 << "    if rising_edge(clk) then\n"
                 << "      if rst = '1' then\n"
-                << "        " << sigName(n, c.outputs[0]) << " <= "
-                << fromUnsigned(c.width, format("to_unsigned(0, %u)", c.width)) << ";\n";
+                << "        " << y << " <= " << open << "to_unsigned(0, " << w << ')'
+                << close << ";\n";
             if (c.inputs.size() > 1) {
-                out << "      elsif " << asUnsigned(n, c.inputs[1]) << " /= 0 then\n";
+                out << "      elsif " << in(1) << " /= 0 then\n";
             } else {
                 out << "      else\n";
             }
-            out << "        " << sigName(n, c.outputs[0]) << " <= "
-                << fromUnsigned(c.width, resized(n, c.inputs[0], c.width)) << ";\n"
+            out << "        " << y << " <= " << open << resizedIn(0) << close << ";\n"
                 << "      end if;\n    end if;\n  end process;\n";
             break;
-        }
-        case CellKind::Bram: {
-            out << "  " << cellName << "_p : process (clk)\n  begin\n"
+        case CellKind::Bram:
+            out << "  " << cell << "_p : process (clk)\n  begin\n"
                 << "    if rising_edge(clk) then\n"
-                << "      if " << asUnsigned(n, c.inputs[2]) << " /= 0 then\n"
-                << "        " << cellName << "_mem(to_integer("
-                << asUnsigned(n, c.inputs[0]) << ")) <= "
-                << fromUnsigned(c.width, resized(n, c.inputs[1], c.width)) << ";\n"
+                << "      if " << in(2) << " /= 0 then\n"
+                << "        " << cell << "_mem(to_integer(" << in(0) << ")) <= " << open
+                << resizedIn(1) << close << ";\n"
                 << "      end if;\n"
-                << "      " << sigName(n, c.outputs[0]) << " <= " << cellName
-                << "_mem(to_integer(" << asUnsigned(n, c.inputs[0]) << "));\n"
+                << "      " << y << " <= " << cell << "_mem(to_integer(" << in(0) << "));\n"
                 << "    end if;\n  end process;\n";
             break;
-        }
-        case CellKind::Fsm: {
+        case CellKind::Fsm:
             // Control FSM placeholder: a saturating state counter that
-            // advances whenever any status input is non-zero.
-            out << "  " << cellName << "_p : process (clk)\n  begin\n"
+            // advances on every cycle out of reset, whatever its status
+            // inputs; the netlist simulator advances it only on a non-zero
+            // status input (ROADMAP item 13).
+            out << "  " << cell << "_p : process (clk)\n  begin\n"
                 << "    if rising_edge(clk) then\n"
                 << "      if rst = '1' then\n"
-                << "        " << sigName(n, c.outputs[0]) << " <= (others => '0');\n"
-                << "      elsif unsigned(" << sigName(n, c.outputs[0]) << ") < "
-                << (c.param - 1) << " then\n"
-                << "        " << sigName(n, c.outputs[0]) << " <= std_logic_vector(unsigned("
-                << sigName(n, c.outputs[0]) << ") + 1);\n"
+                << "        " << y << " <= (others => '0');\n"
+                << "      elsif unsigned(" << y << ") < " << (c.param - 1) << " then\n"
+                << "        " << y << " <= std_logic_vector(unsigned(" << y << ") + 1);\n"
                 << "      end if;\n    end if;\n  end process;\n";
             break;
-        }
-        default: {
+        default:
             if (const char* op = binaryOperator(c.kind)) {
-                std::string expr = format("%s %s %s", resized(n, c.inputs[0], c.width).c_str(),
-                                          op, resized(n, c.inputs[1], c.width).c_str());
+                out << "  " << y << " <= " << open;
                 if (c.kind == CellKind::Mul) {
                     // VHDL '*' yields a 2w product; truncate back.
-                    expr = format("resize(%s * %s, %u)",
-                                  resized(n, c.inputs[0], c.width).c_str(),
-                                  resized(n, c.inputs[1], c.width).c_str(), c.width);
+                    out << "resize(" << resizedIn(0) << " * " << resizedIn(1) << ", " << w
+                        << ')';
+                } else {
+                    out << resizedIn(0) << ' ' << op << ' ' << resizedIn(1);
                 }
-                out << "  " << sigName(n, c.outputs[0]) << " <= "
-                    << fromUnsigned(c.width, expr) << ";\n";
+                out << close << ";\n";
             } else if (const char* cmp = compareOperator(c.kind)) {
-                out << "  " << sigName(n, c.outputs[0]) << " <= '1' when "
-                    << asUnsigned(n, c.inputs[0]) << ' ' << cmp << ' '
-                    << asUnsigned(n, c.inputs[1]) << " else '0';\n";
+                out << "  " << y << " <= '1' when " << in(0) << ' ' << cmp << ' ' << in(1)
+                    << " else '0';\n";
             } else {
                 throw Error(format("vhdl: unsupported cell kind %s",
                                    std::string(cellKindName(c.kind)).c_str()));
             }
             break;
         }
-        }
     }
 
     out << "end architecture rtl;\n";
-    return out.str();
+    return out.take();
 }
 
 } // namespace socgen::rtl

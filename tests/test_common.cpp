@@ -21,6 +21,14 @@ TEST(Strings, FormatBasics) {
 TEST(Strings, FormatLongOutput) {
     const std::string big(3000, 'q');
     EXPECT_EQ(format("%s!", big.c_str()).size(), 3001u);
+    // format renders into a fixed stack buffer first and formats again
+    // only when the text does not fit; every length across that boundary,
+    // and arguments consumed after it, must come out whole.
+    for (std::size_t length = 0; length <= 1100; ++length) {
+        const std::string body(length, static_cast<char>('a' + length % 26));
+        ASSERT_EQ(format("<%s|%d|%s>", body.c_str(), 42, "tail"), "<" + body + "|42|tail>")
+            << "body length " << length;
+    }
 }
 
 TEST(Strings, SplitDropsEmptyPieces) {
@@ -62,6 +70,11 @@ TEST(Strings, SanitizeIdentifier) {
     EXPECT_EQ(sanitizeIdentifier("9lives"), "x9lives");
     EXPECT_EQ(sanitizeIdentifier(""), "x");
     EXPECT_EQ(sanitizeIdentifier("ok_name"), "ok_name");
+    for (const char* name : {"", "ok_name", "9lives", "my core!"}) {
+        std::string appended = "pre_";
+        appendIdentifier(appended, name);
+        EXPECT_EQ(appended, "pre_" + sanitizeIdentifier(name)) << name;
+    }
 }
 
 TEST(Strings, CountLines) {

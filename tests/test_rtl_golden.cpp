@@ -7,6 +7,8 @@
 
 #include "socgen/apps/dataflow.hpp"
 #include "socgen/apps/kernels.hpp"
+#include "socgen/apps/otsu.hpp"
+#include "socgen/common/hash.hpp"
 #include "socgen/common/strings.hpp"
 #include "socgen/common/textfile.hpp"
 #include "socgen/core/flow.hpp"
@@ -17,6 +19,8 @@
 #include "socgen/rtl/primitives.hpp"
 #include "socgen/rtl/verilog.hpp"
 #include "socgen/rtl/vhdl.hpp"
+
+#include "netlist_gen.hpp"
 
 #include <gtest/gtest.h>
 
@@ -95,6 +99,60 @@ TEST(Golden, DataflowWrapper) {
     expectGolden("dataflow_tri", r.netlist);
 }
 
+// Digests of the VHDL and Verilog text of full-size designs: every HLS
+// core of the app library (default directives and an unroll=4,
+// optimizer-off variant), the processes and wrappers of both dataflow
+// networks, and the 40-seed random-netlist corpus, which brings in Fsm,
+// BRAM and >64-bit nets. One line per netlist keeps the snapshot small
+// while any change to either emitter's text on these designs fails.
+TEST(Golden, HdlDigests) {
+    std::string lines;
+    const auto record = [&](const std::string& label, const Netlist& netlist) {
+        lines += format("%s vhdl=%s verilog=%s\n", label.c_str(),
+                        digest128(VhdlEmitter{}.emit(netlist)).hex().c_str(),
+                        digest128(VerilogEmitter{}.emit(netlist)).hex().c_str());
+    };
+    hls::Directives unrolled;
+    unrolled.enableOptimizer = false;
+    unrolled.unrollFactors = {{"i", 4}, {"idx", 4}};
+    const std::pair<const char*, hls::Directives> variants[] = {{"default", {}},
+                                                                {"unroll4", unrolled}};
+    constexpr std::int64_t pixels = 64 * 64;
+    const hls::Kernel kernels[] = {
+        apps::makeGrayScaleKernel(pixels), apps::makeHistogramKernel(pixels),
+        apps::makeOtsuKernel(pixels),      apps::makeBinarizationKernel(pixels),
+        apps::makeAddKernel(),             apps::makeMulKernel(),
+        apps::makeGaussKernel(256),        apps::makeEdgeKernel(256),
+        apps::makeSobelKernel(32, 32)};
+    const hls::ProcessNetwork networks[] = {apps::makeStreamPipelineNetwork(256),
+                                            apps::makeOtsuDataflowNetwork(256, 256)};
+    const hls::HlsEngine engine;
+    for (const auto& [variant, directives] : variants) {
+        for (const hls::Kernel& kernel : kernels) {
+            record(format("%s/%s", variant, kernel.name().c_str()),
+                   engine.synthesize(kernel, directives).netlist);
+        }
+        for (const hls::ProcessNetwork& network : networks) {
+            std::vector<hls::HlsResult> results;
+            std::vector<const hls::HlsResult*> ptrs;
+            results.reserve(network.processes().size());
+            for (const hls::Process& p : network.processes()) {
+                results.push_back(engine.synthesize(p.kernel, directives));
+                ptrs.push_back(&results.back());
+                record(format("%s/%s/%s", variant, network.name().c_str(), p.name.c_str()),
+                       results.back().netlist);
+            }
+            record(format("%s/%s", variant, network.name().c_str()),
+                   engine.assembleNetwork(network, ptrs).netlist);
+        }
+    }
+    for (const std::uint64_t seed : testing::diffSimSeeds()) {
+        record(format("rand/%llu", static_cast<unsigned long long>(seed)),
+               testing::randomNetlist(seed, testing::sweepOptions(seed)));
+    }
+    expectMatchesGolden("hdl_digests", ".txt", lines);
+}
+
 // The record of a flow run: every published event (kind, stage, detail,
 // attempt; no time fields), the rendered diagnostics and the journal,
 // for a cold run and then a warm rerun served from the artifact store.
@@ -163,7 +221,7 @@ object mixed extends App {
   tg end_edges;
 }
 )").graph;
-    const std::string dir = testing::TempDir() + "/socgen_golden_flow";
+    const std::string dir = ::testing::TempDir() + "/socgen_golden_flow";
     std::filesystem::remove_all(dir);
     const auto recorder = std::make_shared<EventRecorder>();
     core::FlowOptions options;

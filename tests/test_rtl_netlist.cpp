@@ -51,6 +51,34 @@ TEST(Netlist, UndrivenNetFailsCheck) {
     EXPECT_THROW(n.check(), Error);
 }
 
+// check() remembers a pass; any later mutation must make the next check
+// look at the netlist again.
+TEST(Netlist, ChangeAfterPassingCheckIsCheckedAgain) {
+    Netlist n = makeAdder("add", 8);
+    EXPECT_NO_THROW(n.check());
+    (void)n.addNet("floating", 4);
+    EXPECT_THROW(n.check(), Error);
+
+    Netlist pins = makeAdder("add", 8);
+    pins.check();
+    pins.addCell("bad", CellKind::Add, 8, {pins.ports().front().net}, {});  // Add needs 2 inputs
+    EXPECT_THROW(pins.check(), Error);
+
+    Netlist ported = makeAdder("add", 8);
+    ported.check();
+    const NetId k = ported.addNet("k", 4);
+    ported.addCell("k", CellKind::Const, 4, {}, {k}, 1);
+    EXPECT_NO_THROW(ported.check());
+    ported.addPort("k_in", PortDir::In, 4, k);  // an input port on a cell-driven net
+    EXPECT_THROW(ported.check(), Error);
+
+    // A copy carries the verdict of what it copies, not of its target.
+    Netlist copy = makeAdder("add", 8);
+    copy.check();
+    copy = n;
+    EXPECT_THROW(copy.check(), Error);
+}
+
 TEST(Netlist, InputPortDrivenByCellFailsCheck) {
     Netlist n("bad");
     const NetId a = n.addNet("a", 4);

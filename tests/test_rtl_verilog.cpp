@@ -3,6 +3,7 @@
 #include "socgen/rtl/sim_backend.hpp"
 #include "socgen/rtl/vcd.hpp"
 #include "socgen/rtl/verilog.hpp"
+#include "socgen/rtl/vhdl.hpp"
 
 #include <gtest/gtest.h>
 
@@ -68,6 +69,17 @@ TEST(Verilog, DeterministicAndRejectsInvalid) {
     Netlist bad("bad");
     (void)bad.addNet("floating", 4);
     EXPECT_THROW((void)VerilogEmitter{}.emit(bad), Error);
+}
+
+// Emitting checks the netlist; a netlist changed after it emitted cleanly
+// is checked again, by both emitters.
+TEST(Verilog, NetlistChangedAfterEmitIsRejected) {
+    Netlist n = makeMac("mac", 16);
+    (void)VerilogEmitter{}.emit(n);
+    (void)VhdlEmitter{}.emit(n);
+    (void)n.addNet("floating", 4);
+    EXPECT_THROW((void)VerilogEmitter{}.emit(n), Error);
+    EXPECT_THROW((void)VhdlEmitter{}.emit(n), Error);
 }
 
 // ---------------------------------------------------------------------------
