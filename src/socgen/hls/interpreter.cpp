@@ -134,11 +134,8 @@ private:
 };
 
 KernelVm::KernelVm(const Program& program, KernelIo& io)
-    : program_(program), io_(io), regs_(program.registerCount, 0),
-      regMasks_(program.registerCount, ~std::uint64_t{0}) {
-    for (std::size_t reg = 0; reg < regMasks_.size() && reg < program.varWidth.size(); ++reg) {
-        regMasks_[reg] = maskTo(program.varWidth[reg], ~std::uint64_t{0});
-    }
+    : program_(program), io_(io), regs_(program.registerCount, 0) {
+    decode();
     arrays_.reserve(program.arrays.size());
     for (const auto& spec : program.arrays) {
         arrays_.emplace_back(spec.depth, 0);
@@ -211,10 +208,12 @@ const std::vector<std::uint64_t>& KernelVm::array(ArrayId id) const {
     return arrays_[id];
 }
 
-// Inlined into tick(): a call per Bin instruction is a large part of an
-// active core's host time.
-[[gnu::always_inline]] inline std::uint64_t KernelVm::applyBin(BinOp op, std::uint64_t a,
-                                                                std::uint64_t b) {
+namespace {
+
+// Inlined into tick() with a constant operator, so each Bin opcode of the
+// pre-decoded form compiles to its own operation.
+[[gnu::always_inline]] inline std::uint64_t applyBin(BinOp op, std::uint64_t a,
+                                                     std::uint64_t b) {
     switch (op) {
     case BinOp::Add: return a + b;
     case BinOp::Sub: return a - b;
@@ -238,8 +237,118 @@ const std::vector<std::uint64_t>& KernelVm::array(ArrayId id) const {
     return 0;
 }
 
-std::uint64_t KernelVm::maskVar(std::uint32_t reg, std::uint64_t value) const {
-    return value & regMasks_[reg];
+#define SOCGEN_VM_BINOPS(X)                                                                 \
+    X(Add) X(Sub) X(Mul) X(Div) X(Mod) X(And) X(Or) X(Xor) X(Shl) X(Shr) X(Eq) X(Ne) X(Lt) \
+    X(Le) X(Gt) X(Ge) X(Min) X(Max)
+
+constexpr int kBinOps = static_cast<int>(BinOp::Max) + 1;
+#define SOCGEN_VM_COUNT(name) +1
+static_assert((0 SOCGEN_VM_BINOPS(SOCGEN_VM_COUNT)) == kBinOps, "a BinOp lacks a VM opcode");
+#undef SOCGEN_VM_COUNT
+
+/// Opcodes of the pre-decoded form. Each of the three Bin families holds
+/// one opcode per BinOp, in BinOp order.
+enum DecodedOp : std::uint8_t {
+    kLoadConst,
+    kMove,
+    kLoadArg,
+    kNot,
+    kNeg,
+    kSelect,
+    kArrayLoad,
+    kArrayStore,
+    kStreamRead,
+    kStreamWrite,
+    kSetResult,
+    kJump,
+    kJumpIfZero,
+    kCost,
+    kHalt,
+    kBin,                     ///< + BinOp: dst <- a (op) b
+    kLdcBin = kBin + kBinOps, ///< + BinOp: this LoadConst, then the next entry's Bin
+    kBinJz = kLdcBin + kBinOps, ///< + BinOp: this Bin, then the next entry's JumpIfZero
+};
+
+constexpr std::uint8_t binOpcode(DecodedOp family, BinOp op) {
+    return static_cast<std::uint8_t>(family + static_cast<int>(op));
+}
+
+} // namespace
+
+void KernelVm::decode() {
+    const std::vector<Instr>& instrs = program_.instrs;
+    const auto maskOf = [&](std::uint32_t reg) {
+        return reg < program_.varWidth.size() ? maskTo(program_.varWidth[reg], ~0ULL)
+                                              : ~0ULL;
+    };
+    code_.resize(instrs.size());
+    for (std::size_t i = 0; i < instrs.size(); ++i) {
+        const Instr& in = instrs[i];
+        Decoded& d = code_[i];
+        d.dst = in.dst;
+        d.a = in.a;
+        d.b = in.b;
+        d.x = maskOf(in.dst);
+        switch (in.op) {
+        case Opcode::LoadConst:
+            d.plain = kLoadConst;
+            d.x &= static_cast<std::uint64_t>(in.imm);
+            break;
+        case Opcode::Move: d.plain = kMove; break;
+        case Opcode::LoadArg:
+            d.plain = kLoadArg;
+            d.c = in.port;
+            break;
+        case Opcode::Bin: d.plain = binOpcode(kBin, in.bop); break;
+        case Opcode::Un: d.plain = in.uop == UnOp::Not ? kNot : kNeg; break;
+        case Opcode::Select:
+            d.plain = kSelect;
+            d.c = in.c;
+            break;
+        case Opcode::ArrayLoad:
+            d.plain = kArrayLoad;
+            d.c = in.array;
+            break;
+        case Opcode::ArrayStore:
+            require(in.array < program_.arrays.size(), "program: array index out of range");
+            d.plain = kArrayStore;
+            d.c = in.array;
+            d.x = maskTo(program_.arrays[in.array].width, ~0ULL);
+            break;
+        case Opcode::StreamRead:
+            d.plain = kStreamRead;
+            d.c = in.port;
+            break;
+        case Opcode::StreamWrite:
+        case Opcode::SetResult:
+            require(in.port < program_.ports.size(), "program: port index out of range");
+            d.plain = in.op == Opcode::StreamWrite ? kStreamWrite : kSetResult;
+            d.c = in.port;
+            d.x = maskTo(program_.ports[in.port].width, ~0ULL);
+            break;
+        case Opcode::Jump:
+        case Opcode::JumpIfZero:
+            d.plain = in.op == Opcode::Jump ? kJump : kJumpIfZero;
+            d.c = in.target;
+            break;
+        case Opcode::Cost:
+            d.plain = kCost;
+            d.x = static_cast<std::uint64_t>(in.imm);
+            break;
+        case Opcode::Halt: d.plain = kHalt; break;
+        }
+        d.op = d.plain;
+    }
+    // Fuse pairs. The second index keeps its plain entry, so a jump can
+    // still land there.
+    for (std::size_t i = 0; i + 1 < instrs.size(); ++i) {
+        const Opcode next = instrs[i + 1].op;
+        if (instrs[i].op == Opcode::LoadConst && next == Opcode::Bin) {
+            code_[i].op = binOpcode(kLdcBin, instrs[i + 1].bop);
+        } else if (instrs[i].op == Opcode::Bin && next == Opcode::JumpIfZero) {
+            code_[i].op = binOpcode(kBinJz, instrs[i].bop);
+        }
+    }
 }
 
 bool KernelVm::tick() {
@@ -255,7 +364,9 @@ bool KernelVm::tick() {
         return true;
     }
     // Execute zero-cost instructions until this cycle is accounted for.
-    // The cap catches compiler bugs (a loop without a Cost back-edge).
+    // The cap catches compiler bugs (a loop without a Cost back-edge). It
+    // counts executed instructions, so a fused pair that would cross it
+    // runs its first instruction alone.
     constexpr std::uint64_t kMaxInstrPerCycle = 1u << 20;
     // The program counter and instruction count live in locals while the
     // cycle runs (stores to regs_ could alias the members) and are
@@ -271,102 +382,127 @@ bool KernelVm::tick() {
             vm.executed_ = executed;
         }
     } writeBack{*this, pc, executed};
-    const Instr* const instrs = program_.instrs.data();
-    for (std::uint64_t steps = 0; steps < kMaxInstrPerCycle; ++steps) {
-        const Instr& instr = instrs[pc];
-        switch (instr.op) {
-        case Opcode::LoadConst:
-            regs_[instr.dst] = maskVar(instr.dst, static_cast<std::uint64_t>(instr.imm));
+    const std::uint64_t limit = executed + kMaxInstrPerCycle;
+    const Decoded* const code = code_.data();
+    std::uint64_t* const r = regs_.data();
+    for (;;) {
+        const Decoded& d = code[pc];
+        std::uint8_t op = d.op;
+        if (limit - executed < 2) [[unlikely]] {
+            if (executed == limit) {
+                throw SimulationError(
+                    format("kernel %s: executed %llu instructions without "
+                           "consuming a cycle (missing Cost?)",
+                           program_.kernelName.c_str(),
+                           static_cast<unsigned long long>(kMaxInstrPerCycle)));
+            }
+            op = d.plain;
+        }
+        switch (op) {
+        case kLoadConst:
+            r[d.dst] = d.x;
             break;
-        case Opcode::Move:
-            regs_[instr.dst] = maskVar(instr.dst, regs_[instr.a]);
+        case kMove:
+            r[d.dst] = r[d.a] & d.x;
             break;
-        case Opcode::LoadArg:
-            regs_[instr.dst] = maskVar(instr.dst, io_.argValue(instr.port));
+        case kLoadArg:
+            r[d.dst] = io_.argValue(d.c) & d.x;
             break;
-        case Opcode::Bin:
-            regs_[instr.dst] =
-                maskVar(instr.dst, applyBin(instr.bop, regs_[instr.a], regs_[instr.b]));
+        case kNot:
+            r[d.dst] = ~r[d.a] & d.x;
             break;
-        case Opcode::Un:
-            regs_[instr.dst] = maskVar(
-                instr.dst, instr.uop == UnOp::Not ? ~regs_[instr.a] : 0 - regs_[instr.a]);
+        case kNeg:
+            r[d.dst] = (0 - r[d.a]) & d.x;
             break;
-        case Opcode::Select:
-            regs_[instr.dst] =
-                maskVar(instr.dst, regs_[instr.a] != 0 ? regs_[instr.b] : regs_[instr.c]);
+        case kSelect:
+            r[d.dst] = (r[d.a] != 0 ? r[d.b] : r[d.c]) & d.x;
             break;
-        case Opcode::ArrayLoad: {
-            const auto& mem = arrays_[instr.array];
-            const auto idx = static_cast<std::size_t>(regs_[instr.a]);
+        case kArrayLoad: {
+            const auto& mem = arrays_[d.c];
+            const auto idx = static_cast<std::size_t>(r[d.a]);
             if (idx >= mem.size()) {
                 throw SimulationError(format("kernel %s: array %u read out of bounds "
                                              "(%zu >= %zu)",
-                                             program_.kernelName.c_str(), instr.array, idx,
+                                             program_.kernelName.c_str(), d.c, idx,
                                              mem.size()));
             }
-            regs_[instr.dst] = mem[idx];
+            r[d.dst] = mem[idx];
             break;
         }
-        case Opcode::ArrayStore: {
-            auto& mem = arrays_[instr.array];
-            const auto idx = static_cast<std::size_t>(regs_[instr.a]);
+        case kArrayStore: {
+            auto& mem = arrays_[d.c];
+            const auto idx = static_cast<std::size_t>(r[d.a]);
             if (idx >= mem.size()) {
                 throw SimulationError(format("kernel %s: array %u write out of bounds "
                                              "(%zu >= %zu)",
-                                             program_.kernelName.c_str(), instr.array, idx,
+                                             program_.kernelName.c_str(), d.c, idx,
                                              mem.size()));
             }
-            mem[idx] = maskTo(program_.arrays[instr.array].width, regs_[instr.b]);
+            mem[idx] = r[d.b] & d.x;
             break;
         }
-        case Opcode::StreamRead: {
+        case kStreamRead: {
             std::uint64_t value = 0;
-            if (!io_.streamRead(instr.port, value)) {
+            if (!io_.streamRead(d.c, value)) {
                 ++stalls_;
                 return false;  // stall this cycle; retry same pc next tick
             }
-            regs_[instr.dst] = value;
+            r[d.dst] = value;
             break;
         }
-        case Opcode::StreamWrite: {
-            const std::uint64_t value =
-                maskTo(program_.ports[instr.port].width, regs_[instr.a]);
-            if (!io_.streamWrite(instr.port, value)) {
+        case kStreamWrite:
+            if (!io_.streamWrite(d.c, r[d.a] & d.x)) {
                 ++stalls_;
                 return false;
             }
             break;
-        }
-        case Opcode::SetResult:
-            io_.setResult(instr.port,
-                          maskTo(program_.ports[instr.port].width, regs_[instr.a]));
+        case kSetResult:
+            io_.setResult(d.c, r[d.a] & d.x);
             break;
-        case Opcode::Jump:
-            pc = instr.target;
+        case kJump:
+            pc = d.c;
             ++executed;
             continue;
-        case Opcode::JumpIfZero:
-            pc = regs_[instr.a] == 0 ? instr.target : pc + 1;
+        case kJumpIfZero:
+            pc = r[d.a] == 0 ? d.c : pc + 1;
             ++executed;
             continue;
-        case Opcode::Cost:
-            waitCycles_ = instr.imm - 1;  // this tick counts as the first cycle
+        case kCost:
+            waitCycles_ = static_cast<std::int64_t>(d.x) - 1;  // this tick is the first cycle
             ++pc;
             ++executed;
             return true;
-        case Opcode::Halt:
+        case kHalt:
             running_ = false;
             return true;
+#define SOCGEN_VM_BIN_CASES(name)                                                         \
+    case binOpcode(kBin, BinOp::name):                                                    \
+        r[d.dst] = applyBin(BinOp::name, r[d.a], r[d.b]) & d.x;                           \
+        break;                                                                            \
+    case binOpcode(kLdcBin, BinOp::name): {                                               \
+        r[d.dst] = d.x;                                                                   \
+        const Decoded& bin = code[pc + 1];                                                \
+        r[bin.dst] = applyBin(BinOp::name, r[bin.a], r[bin.b]) & bin.x;                   \
+        pc += 2;                                                                          \
+        executed += 2;                                                                    \
+        continue;                                                                         \
+    }                                                                                     \
+    case binOpcode(kBinJz, BinOp::name): {                                                \
+        r[d.dst] = applyBin(BinOp::name, r[d.a], r[d.b]) & d.x;                           \
+        const Decoded& jz = code[pc + 1];                                                 \
+        pc = r[jz.a] == 0 ? jz.c : pc + 2;                                                \
+        executed += 2;                                                                    \
+        continue;                                                                         \
+    }
+            SOCGEN_VM_BINOPS(SOCGEN_VM_BIN_CASES)
+#undef SOCGEN_VM_BIN_CASES
         }
         ++executed;
         ++pc;
     }
-    throw SimulationError(format("kernel %s: executed %llu instructions without "
-                                 "consuming a cycle (missing Cost?)",
-                                 program_.kernelName.c_str(),
-                                 static_cast<unsigned long long>(kMaxInstrPerCycle)));
 }
+
+#undef SOCGEN_VM_BINOPS
 
 bool KernelVm::tickNetwork() {
     ++cycles_;

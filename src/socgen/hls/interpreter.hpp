@@ -36,6 +36,14 @@ public:
 /// instructions execute back-to-back until a Cost instruction charges
 /// schedule-derived cycles or a stream access has to stall.
 ///
+/// A plain kernel runs from a pre-decoded copy of its instructions, built
+/// once with the VM and indexed 1:1 with `Program::instrs`: one opcode per
+/// (Opcode, BinOp) pair, the destination's width mask stored in the
+/// instruction, and a LoadConst or compare that feeds the next instruction
+/// fused with it (DESIGN.md §16). Every observable — pc(), the counters,
+/// where a stall retries — is the same as executing `Program::instrs` one
+/// by one.
+///
 /// A network Program (Program::isNetwork()) runs in network mode: one
 /// child VM per process, all ticked every cycle, with internal channel
 /// ports routed through bounded in-memory FIFOs and externally bound
@@ -111,15 +119,26 @@ private:
         std::uint64_t pops = 0;
     };
 
-    [[nodiscard]] static std::uint64_t applyBin(BinOp op, std::uint64_t a, std::uint64_t b);
-    [[nodiscard]] std::uint64_t maskVar(std::uint32_t reg, std::uint64_t value) const;
+    /// One pre-decoded instruction. A fused pair runs the next entry's
+    /// instruction too, reading that entry's fields.
+    struct Decoded {
+        std::uint8_t op = 0;     ///< what runs here: one instruction or a fused pair
+        std::uint8_t plain = 0;  ///< this index's instruction alone
+        std::uint32_t dst = 0;
+        std::uint32_t a = 0;
+        std::uint32_t b = 0;
+        std::uint32_t c = 0;     ///< Select's else register, port, array or jump target
+        std::uint64_t x = 0;     ///< width mask of the write, masked constant, or Cost cycles
+    };
+
+    void decode();
     void startNetwork();
     bool tickNetwork();
 
     const Program& program_;
     KernelIo& io_;
+    std::vector<Decoded> code_;  ///< parallel to program_.instrs (plain kernels)
     std::vector<std::uint64_t> regs_;
-    std::vector<std::uint64_t> regMasks_;  ///< by register: its variable's width mask
     std::vector<std::vector<std::uint64_t>> arrays_;
     std::uint32_t pc_ = 0;
     std::int64_t waitCycles_ = 0;

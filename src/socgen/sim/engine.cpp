@@ -60,6 +60,10 @@ void Engine::add(Component& component) {
     slot.sleeps = component.canSleep();
     slot.lastProgress = now_;
     slots_.push_back(slot);
+    if (awake_.size() * 64 < slots_.size()) {
+        awake_.push_back(0);
+    }
+    markAwake(component.slot_, true);
     if (slot.sleeps) {
         ++sleepers_;
         ++awakeSleepers_;
@@ -87,6 +91,11 @@ void Engine::settleAndWake(std::size_t index) {
     }
     slot.asleep = false;
     ++awakeSleepers_;
+    if (slot.wakeAt != kUnbounded) {  // woken before its quiet span ended
+        timers_.erase(std::find_if(timers_.begin(), timers_.end(),
+                                   [&](const Timer& t) { return t.slot == index; }));
+    }
+    markAwake(index, true);
 }
 
 void Engine::wakeAll() {
@@ -95,18 +104,27 @@ void Engine::wakeAll() {
     }
 }
 
+void Engine::wakeDue() {
+    while (!timers_.empty() && timers_.back().wakeAt <= now_) {
+        const std::size_t index = timers_.back().slot;
+        timers_.pop_back();
+        slots_[index].wakeAt = kUnbounded;
+        settleAndWake(index);
+    }
+}
+
 void Engine::tickCycle() {
     frontier_ = now_;
+    if (nextWake() <= now_) {
+        wakeDue();
+    }
     ticked_.clear();
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
+    Slot* const slots = slots_.data();
+    // A slot woken during the loop ticks on this cycle if its turn is
+    // still to come, else from the next one.
+    for (std::size_t i = nextAwake(0); i < slots_.size(); i = nextAwake(i + 1)) {
         cursor_ = i;
-        Slot& slot = slots_[i];
-        if (slot.asleep) {
-            if (slot.wakeAt > now_) {
-                continue;
-            }
-            wake(i);
-        }
+        Slot& slot = slots[i];
         ++slot.ticks;
         if (slot.component->tick()) {
             slot.lastProgress = now_;
@@ -120,27 +138,28 @@ void Engine::tickCycle() {
     ++steps_;
     // A component falls asleep only once the whole cycle has run, so an
     // act of a later component that ends its quiet span is seen at once.
+    const std::uint64_t sleptFrom = now_ + 1;
     for (const std::size_t i : ticked_) {
-        Slot& slot = slots_[i];
-        const std::uint64_t quiet = slot.component->quietFor();
+        Slot& slot = slots[i];
+        const std::uint64_t quiet = slot.component->fallAsleep();
         if (quiet == 0) {
             continue;
         }
         slot.asleep = true;
-        slot.sleptFrom = now_ + 1;
-        slot.wakeAt = quiet < kUnbounded - slot.sleptFrom ? slot.sleptFrom + quiet : kUnbounded;
+        slot.sleptFrom = sleptFrom;
+        slot.wakeAt = quiet < kUnbounded - sleptFrom ? sleptFrom + quiet : kUnbounded;
+        if (slot.wakeAt != kUnbounded) {
+            const auto later = [](std::uint64_t at, const Timer& t) { return at > t.wakeAt; };
+            timers_.insert(std::upper_bound(timers_.begin(), timers_.end(), slot.wakeAt, later),
+                           Timer{slot.wakeAt, i});
+        }
         --awakeSleepers_;
-        slot.component->armWake();
+        markAwake(i, false);
     }
 }
 
 std::uint64_t Engine::jumpLength(std::uint64_t limit) {
-    std::uint64_t span = limit;
-    for (const Slot& slot : slots_) {
-        if (slot.asleep) {
-            span = std::min(span, slot.wakeAt - now_);
-        }
-    }
+    std::uint64_t span = std::min(limit, nextWake() - now_);
     for (const Probe* probe : probes_) {
         if (span == 0) {
             return 0;
@@ -152,13 +171,11 @@ std::uint64_t Engine::jumpLength(std::uint64_t limit) {
     if (sleepers_ == slots_.size()) {
         return span;
     }
-    for (const Slot& slot : slots_) {
+    for (std::size_t i = nextAwake(0); i < slots_.size(); i = nextAwake(i + 1)) {
         if (span == 0) {
             return 0;
         }
-        if (!slot.sleeps) {
-            span = std::min(span, slot.component->quietFor());
-        }
+        span = std::min(span, slots_[i].component->quietFor());
     }
     return span;
 }

@@ -2,6 +2,7 @@
 
 #include "socgen/common/error.hpp"
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -20,10 +21,10 @@ class Engine;
 /// (components must therefore tolerate same-cycle ordering; channels
 /// decouple them).
 ///
-/// Sleep and wake (DESIGN.md §16): a component that canSleep() and whose
-/// quietFor() is above 0 at the end of a cycle on which it ticked is not
-/// ticked again until its quiet span ends or a wake source it armed calls
-/// wake(). At wake the engine
+/// Sleep and wake (DESIGN.md §16): a component that canSleep() falls
+/// asleep at the end of a cycle on which it ticked when fallAsleep()
+/// returns a quiet span above 0, and is not ticked again until that span
+/// ends or a wake source it armed calls wake(). At wake the engine
 /// credits the slept cycles with one skip() call. A component that keeps
 /// the default canSleep() is ticked on every real cycle; the engine only
 /// asks its quietFor() when no sleeping component is due, to bound a jump
@@ -50,8 +51,8 @@ public:
     /// do nothing when ticked.
     [[nodiscard]] virtual std::uint64_t quietFor() const { return idle() ? kUnbounded : 0; }
 
-    /// Applies `cycles` (<= quietFor()) quiet ticks at once and returns
-    /// the progress flag each of them would have returned.
+    /// Applies `cycles` (<= the quiet span) quiet ticks at once and
+    /// returns the progress flag each of them would have returned.
     virtual bool skip(std::uint64_t cycles) {
         (void)cycles;
         return false;
@@ -62,13 +63,15 @@ public:
     /// become idle only in its own tick().
     [[nodiscard]] virtual bool canSleep() const { return false; }
 
-    /// Called as the component falls asleep: at the end of a cycle on which
-    /// it ticked, when its quietFor() is above 0. It must arm every source
-    /// outside itself that can end the quiet span early — a channel it is
-    /// blocked on, an IRQ line it waits for — so that the source calls
-    /// wake(). Register writes and other calls from outside that change
-    /// what quietFor() depends on call wake() themselves.
-    virtual void armWake() {}
+    /// The one call a sleep-capable component gets at the end of a cycle
+    /// on which it ticked. Returns its quiet span, as quietFor() would;
+    /// when that is above 0 the component falls asleep, so it must first
+    /// arm every source outside itself that can end the span early — a
+    /// channel it is blocked on, an IRQ line it waits for — so that the
+    /// source calls wake(). Register writes and other calls from outside
+    /// that change the span call wake() themselves. The default suits a
+    /// component whose quiet spans only end by themselves.
+    virtual std::uint64_t fallAsleep() { return quietFor(); }
 
     /// Ends this component's sleep: the engine credits the slept cycles
     /// and ticks it again — on the current cycle if its turn in
@@ -214,7 +217,7 @@ private:
         bool sleeps = false;            ///< component->canSleep()
         bool asleep = false;
         std::uint64_t sleptFrom = 0;    ///< first slept cycle not yet credited
-        std::uint64_t wakeAt = kUnbounded;  ///< cycle its quiet span ends
+        std::uint64_t wakeAt = kUnbounded;  ///< cycle its quiet span ends (in timers_ if bounded)
         std::uint64_t lastProgress = 0;
         std::uint64_t ticks = 0;
     };
@@ -224,6 +227,12 @@ private:
     std::uint64_t advance(std::uint64_t maxCycles, std::uint64_t stallLimit, bool untilIdle);
     /// Ticks every awake or due component for the cycle now_.
     void tickCycle();
+    /// Wakes the sleepers whose quiet span ends by now_.
+    void wakeDue();
+    /// Earliest wakeAt of a sleeping slot (kUnbounded if none).
+    [[nodiscard]] std::uint64_t nextWake() const {
+        return timers_.empty() ? kUnbounded : timers_.back().wakeAt;
+    }
     /// Cycles the clock can jump from now_ (0: step a real cycle), at
     /// most `limit`, when no component that can sleep is awake.
     [[nodiscard]] std::uint64_t jumpLength(std::uint64_t limit);
@@ -249,7 +258,31 @@ private:
         return frontier_ + (slot < cursor_ ? 1 : 0);
     }
 
+    /// Sets or clears slot `slot`'s bit in awake_.
+    void markAwake(std::size_t slot, bool awake) {
+        const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+        awake_[slot / 64] = awake ? awake_[slot / 64] | bit : awake_[slot / 64] & ~bit;
+    }
+    /// First awake slot at or after `from` (slots_.size() if none).
+    [[nodiscard]] std::size_t nextAwake(std::size_t from) const {
+        std::size_t word = from / 64;
+        if (word >= awake_.size()) {
+            return slots_.size();
+        }
+        std::uint64_t bits = awake_[word] & (~std::uint64_t{0} << (from % 64));
+        while (bits == 0) {
+            if (++word == awake_.size()) {
+                return slots_.size();
+            }
+            bits = awake_[word];
+        }
+        return word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+    }
+
     std::vector<Slot> slots_;
+    /// Bit i set: slot i is awake — it cannot sleep, or it is not asleep.
+    /// A cycle ticks these slots only, in registration order.
+    std::vector<std::uint64_t> awake_;
     std::vector<std::size_t> ticked_;  ///< slots that can sleep ticked this cycle
     std::vector<Probe*> probes_;
     std::vector<std::function<DeadlockReport::ChannelState()>> channelWatches_;
@@ -259,6 +292,12 @@ private:
     bool sampling_ = false;            ///< the probes are sampling
     std::size_t sleepers_ = 0;         ///< slots that can sleep
     std::size_t awakeSleepers_ = 0;    ///< of which awake
+    struct Timer {
+        std::uint64_t wakeAt = 0;
+        std::size_t slot = 0;
+    };
+    /// The sleepers with a bounded quiet span, latest wakeAt first.
+    std::vector<Timer> timers_;
     /// First cycle of the current no-progress run, as far as the ticks and
     /// settled sleepers tell.
     std::uint64_t stallFrom_ = 0;

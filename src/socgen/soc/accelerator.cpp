@@ -69,7 +69,7 @@ axi::StreamChannel* AcceleratorCore::nextStreamAccess(bool& read) const {
     return streams_[next.port];
 }
 
-std::uint64_t AcceleratorCore::quietFor() const {
+std::uint64_t AcceleratorCore::fallAsleep() {
     if (!vm_.running()) {
         return autoStart_ && !vm_.finished() ? 0 : sim::kUnbounded;
     }
@@ -80,13 +80,22 @@ std::uint64_t AcceleratorCore::quietFor() const {
         return wait;
     }
     bool read = false;
-    const axi::StreamChannel* channel = nextStreamAccess(read);
+    axi::StreamChannel* channel = nextStreamAccess(read);
     if (channel == nullptr) {
         return 0;  // not a stream access, or unbound: a real tick throws
     }
-    const bool stalled = read ? channel->empty() || channel->popBlocked()
-                              : channel->full() || channel->pushBlocked();
-    return stalled ? sim::kUnbounded : 0;
+    if (read) {
+        if (!channel->empty() && !channel->popBlocked()) {
+            return 0;
+        }
+        channel->parkReader(*this);
+    } else {
+        if (!channel->full() && !channel->pushBlocked()) {
+            return 0;
+        }
+        channel->parkWriter(*this);
+    }
+    return sim::kUnbounded;
 }
 
 bool AcceleratorCore::skip(std::uint64_t cycles) {
@@ -105,20 +114,6 @@ bool AcceleratorCore::skip(std::uint64_t cycles) {
     }
     vm_.skip(cycles);
     return waiting;  // a Cost wait is progress, a stream stall is not
-}
-
-void AcceleratorCore::armWake() {
-    if (!vm_.running() || vm_.pendingWait() > 0) {
-        return;
-    }
-    bool read = false;
-    if (axi::StreamChannel* channel = nextStreamAccess(read)) {
-        if (read) {
-            channel->parkReader(*this);
-        } else {
-            channel->parkWriter(*this);
-        }
-    }
 }
 
 std::uint32_t AcceleratorCore::readRegister(std::uint64_t offset) {

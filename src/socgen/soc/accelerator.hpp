@@ -64,14 +64,12 @@ public:
     /// Quiet while not running (unless an auto-start core is about to
     /// start), while the VM counts down a Cost wait, and while it is
     /// stalled on a stream read of an empty (or blocked) channel or a
-    /// stream write to a full (or blocked) one. A process-network VM is
-    /// never quiet while it runs.
-    [[nodiscard]] std::uint64_t quietFor() const override;
-    bool skip(std::uint64_t cycles) override;
+    /// stream write to a full (or blocked) one; it then parks on that
+    /// channel. A Cost wait ends by itself, and a register write wakes the
+    /// core. A process-network VM never sleeps while it runs.
     [[nodiscard]] bool canSleep() const override { return true; }
-    /// Parks on the channel a stalled stream access waits for; a Cost
-    /// wait ends by itself, and a register write wakes the core.
-    void armWake() override;
+    std::uint64_t fallAsleep() override;
+    bool skip(std::uint64_t cycles) override;
 
     // axi::LiteSlave
     [[nodiscard]] std::uint32_t readRegister(std::uint64_t offset) override;

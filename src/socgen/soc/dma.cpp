@@ -167,15 +167,24 @@ bool DmaEngine::tick() {
     return a || b;
 }
 
-std::uint64_t DmaEngine::quietFor() const {
+std::uint64_t DmaEngine::fallAsleep() {
     if (idle()) {
         return sim::kUnbounded;  // a tick at most counts down a stall
     }
-    const bool mm2sHeld = !mm2s_.active || mm2sDests_[mm2s_.route]->full() ||
-                          mm2sDests_[mm2s_.route]->pushBlocked();
-    const bool s2mmHeld = !s2mm_.active || s2mmSrcs_[s2mm_.route]->empty() ||
-                          s2mmSrcs_[s2mm_.route]->popBlocked();
-    return mm2sHeld && s2mmHeld ? sim::kUnbounded : stallRemaining_;
+    axi::StreamChannel* dest = mm2s_.active ? mm2sDests_[mm2s_.route] : nullptr;
+    axi::StreamChannel* src = s2mm_.active ? s2mmSrcs_[s2mm_.route] : nullptr;
+    const bool mm2sHeld = dest == nullptr || dest->full() || dest->pushBlocked();
+    const bool s2mmHeld = src == nullptr || src->empty() || src->popBlocked();
+    const std::uint64_t quiet = mm2sHeld && s2mmHeld ? sim::kUnbounded : stallRemaining_;
+    if (quiet > 0) {
+        if (dest != nullptr) {
+            dest->parkWriter(*this);
+        }
+        if (src != nullptr) {
+            src->parkReader(*this);
+        }
+    }
+    return quiet;
 }
 
 bool DmaEngine::skip(std::uint64_t cycles) {
@@ -187,15 +196,6 @@ bool DmaEngine::skip(std::uint64_t cycles) {
         s2mmSrcs_[s2mm_.route]->creditPopStalls(cycles - frozen);
     }
     return false;
-}
-
-void DmaEngine::armWake() {
-    if (mm2s_.active) {
-        mm2sDests_[mm2s_.route]->parkWriter(*this);
-    }
-    if (s2mm_.active) {
-        s2mmSrcs_[s2mm_.route]->parkReader(*this);
-    }
 }
 
 bool DmaEngine::idle() const {

@@ -54,14 +54,12 @@ public:
     /// Quiet while idle, while an injected stall counts down, and while
     /// every active channel is held off: MM2S by a full or blocked
     /// destination, S2MM by an empty or blocked source (whose pop stall
-    /// each skipped cycle credits).
-    [[nodiscard]] std::uint64_t quietFor() const override;
-    bool skip(std::uint64_t cycles) override;
+    /// each skipped cycle credits). It then parks on the active channels:
+    /// MM2S as the destination's writer, S2MM as the source's reader.
+    /// Register writes and injectStall() wake the engine themselves.
     [[nodiscard]] bool canSleep() const override { return true; }
-    /// Parks on the active channels: MM2S as the destination's writer,
-    /// S2MM as the source's reader. Register writes and injectStall()
-    /// wake the engine themselves.
-    void armWake() override;
+    std::uint64_t fallAsleep() override;
+    bool skip(std::uint64_t cycles) override;
     [[nodiscard]] std::string debugState() const override;
 
     // axi::LiteSlave

@@ -174,7 +174,7 @@ bool ZynqPs::tick() {
     return true;
 }
 
-std::uint64_t ZynqPs::quietFor() const {
+std::uint64_t ZynqPs::fallAsleep() {
     if (busyFor_ > 0) {
         return busyFor_ - 1;
     }
@@ -182,13 +182,17 @@ std::uint64_t ZynqPs::quietFor() const {
         if (pollingOp_.irq->pending()) {
             return 0;
         }
-        if (irqWatchdog_ == 0) {
-            return sim::kUnbounded;
+        std::uint64_t quiet = sim::kUnbounded;
+        if (irqWatchdog_ > 0) {
+            // The watchdog fires on the tick that brings tickCount_ to the
+            // deadline; every tick before it only sleeps.
+            const std::uint64_t deadline = waitStartTick_ + irqWatchdog_;
+            quiet = deadline > tickCount_ + 1 ? deadline - tickCount_ - 1 : 0;
         }
-        // The watchdog fires on the tick that brings tickCount_ to the
-        // deadline; every tick before it only sleeps.
-        const std::uint64_t deadline = waitStartTick_ + irqWatchdog_;
-        return deadline > tickCount_ + 1 ? deadline - tickCount_ - 1 : 0;
+        if (quiet > 0) {
+            pollingOp_.irq->park(*this);
+        }
+        return quiet;
     }
     return idle() ? sim::kUnbounded : 0;
 }
@@ -201,12 +205,6 @@ bool ZynqPs::skip(std::uint64_t cycles) {
         return true;
     }
     return false;  // asleep on an IRQ, or idle
-}
-
-void ZynqPs::armWake() {
-    if (irqWaitActive_) {
-        pollingOp_.irq->park(*this);
-    }
 }
 
 bool ZynqPs::idle() const {

@@ -76,13 +76,11 @@ public:
     /// Quiet while counting down a task, delay, register access or poll
     /// interval (bar the countdown's last tick, after which the PS may go
     /// idle), while asleep on an IRQ that is not pending (up to the IRQ
-    /// watchdog's deadline), and while idle.
-    [[nodiscard]] std::uint64_t quietFor() const override;
-    bool skip(std::uint64_t cycles) override;
+    /// watchdog's deadline; it then parks on the line), and while idle.
+    /// A countdown ends by itself, and queueing an op wakes an idle PS.
     [[nodiscard]] bool canSleep() const override { return true; }
-    /// Parks on the awaited IRQ line; a countdown ends by itself, and
-    /// queueing an op wakes an idle PS.
-    void armWake() override;
+    std::uint64_t fallAsleep() override;
+    bool skip(std::uint64_t cycles) override;
     [[nodiscard]] std::string debugState() const override;
 
     // -- statistics ----------------------------------------------------------

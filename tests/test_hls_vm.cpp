@@ -1,3 +1,4 @@
+#include "kernel_gen.hpp"
 #include "socgen/apps/kernels.hpp"
 #include "socgen/apps/otsu.hpp"
 #include "socgen/common/error.hpp"
@@ -6,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <map>
+#include <numeric>
+#include <stdexcept>
 
 namespace socgen::hls {
 namespace {
@@ -279,6 +283,340 @@ TEST(Vm, OutOfBoundsArrayAccessThrows) {
             }
         },
         SimulationError);
+}
+
+TEST(Vm, LoopWithoutCostThrows) {
+    // Two hand-made loops of three instructions and no Cost: one starts
+    // with LoadConst then Bin, the other with a compare then JumpIfZero.
+    // 2^20 is one more than a multiple of 3, so the guard fires after the
+    // first instruction of a pair: the count is of executed instructions,
+    // however they are dispatched.
+    const std::vector<std::vector<Instr>> loops{
+        {Instr{.op = Opcode::LoadConst, .dst = 0, .imm = 1},
+         Instr{.op = Opcode::Bin, .bop = BinOp::Add, .dst = 1, .a = 1, .b = 0},
+         Instr{.op = Opcode::Jump, .target = 0}},
+        {Instr{.op = Opcode::Bin, .bop = BinOp::Eq, .dst = 0, .a = 1, .b = 1},
+         Instr{.op = Opcode::JumpIfZero, .a = 0, .target = 0},
+         Instr{.op = Opcode::Jump, .target = 0}},
+    };
+    for (const std::vector<Instr>& loop : loops) {
+        Program p;
+        p.kernelName = "spin";
+        p.instrs = loop;
+        p.registerCount = 2;
+        VectorIo io;
+        KernelVm vm(p, io);
+        vm.start();
+        try {
+            vm.tick();
+            FAIL() << "expected the missing-Cost guard to fire";
+        } catch (const SimulationError& e) {
+            EXPECT_NE(std::string(e.what()).find("kernel spin: executed 1048576 instructions "
+                                                 "without consuming a cycle (missing Cost?)"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(vm.instructionsExecuted(), std::uint64_t{1} << 20);
+        EXPECT_EQ(vm.pc(), 1u);
+        EXPECT_EQ(vm.cycles(), 1u);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Differential test of the pre-decoded VM against Program::instrs run one by
+// one with a plain switch.
+
+/// The reference: executes Program::instrs one instruction at a time with a
+/// plain switch over Opcode and BinOp, masking every register write by its
+/// variable's width. Plain kernels only.
+class ReferenceVm {
+public:
+    ReferenceVm(const Program& program, KernelIo& io)
+        : program_(program), io_(io), regs_(program.registerCount, 0) {
+        for (const ArraySpec& spec : program.arrays) {
+            arrays_.emplace_back(spec.depth, 0);
+        }
+    }
+
+    void start() {
+        std::fill(regs_.begin(), regs_.end(), 0);
+        pc_ = 0;
+        waitCycles_ = 0;
+        running_ = true;
+    }
+
+    [[nodiscard]] bool running() const { return running_; }
+    [[nodiscard]] std::uint64_t pendingWait() const {
+        return running_ && waitCycles_ > 0 ? static_cast<std::uint64_t>(waitCycles_) : 0;
+    }
+    [[nodiscard]] std::uint32_t pc() const { return pc_; }
+    [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
+    [[nodiscard]] std::uint64_t stallCycles() const { return stalls_; }
+    [[nodiscard]] std::uint64_t instructionsExecuted() const { return executed_; }
+    [[nodiscard]] const std::vector<std::uint64_t>& array(ArrayId id) const {
+        return arrays_[id];
+    }
+
+    bool tick() {
+        if (!running_) {
+            return false;
+        }
+        ++cycles_;
+        if (waitCycles_ > 0) {
+            --waitCycles_;
+            return true;
+        }
+        for (;;) {
+            const Instr& in = program_.instrs[pc_];
+            switch (in.op) {
+            case Opcode::LoadConst: write(in.dst, static_cast<std::uint64_t>(in.imm)); break;
+            case Opcode::Move: write(in.dst, regs_[in.a]); break;
+            case Opcode::LoadArg: write(in.dst, io_.argValue(in.port)); break;
+            case Opcode::Bin: write(in.dst, bin(in.bop, regs_[in.a], regs_[in.b])); break;
+            case Opcode::Un:
+                write(in.dst, in.uop == UnOp::Not ? ~regs_[in.a] : 0 - regs_[in.a]);
+                break;
+            case Opcode::Select:
+                write(in.dst, regs_[in.a] != 0 ? regs_[in.b] : regs_[in.c]);
+                break;
+            case Opcode::ArrayLoad:
+                regs_[in.dst] = arrays_[in.array].at(static_cast<std::size_t>(regs_[in.a]));
+                break;
+            case Opcode::ArrayStore:
+                arrays_[in.array].at(static_cast<std::size_t>(regs_[in.a])) =
+                    mask(program_.arrays[in.array].width, regs_[in.b]);
+                break;
+            case Opcode::StreamRead: {
+                std::uint64_t value = 0;
+                if (!io_.streamRead(in.port, value)) {
+                    ++stalls_;
+                    return false;
+                }
+                regs_[in.dst] = value;
+                break;
+            }
+            case Opcode::StreamWrite:
+                if (!io_.streamWrite(in.port,
+                                     mask(program_.ports[in.port].width, regs_[in.a]))) {
+                    ++stalls_;
+                    return false;
+                }
+                break;
+            case Opcode::SetResult:
+                io_.setResult(in.port, mask(program_.ports[in.port].width, regs_[in.a]));
+                break;
+            case Opcode::Jump:
+                pc_ = in.target;
+                ++executed_;
+                continue;
+            case Opcode::JumpIfZero:
+                pc_ = regs_[in.a] == 0 ? in.target : pc_ + 1;
+                ++executed_;
+                continue;
+            case Opcode::Cost:
+                waitCycles_ = in.imm - 1;
+                ++pc_;
+                ++executed_;
+                return true;
+            case Opcode::Halt:
+                running_ = false;
+                return true;
+            }
+            ++executed_;
+            ++pc_;
+        }
+    }
+
+private:
+    static std::uint64_t mask(unsigned width, std::uint64_t value) {
+        return width >= 64 ? value : value & ((1ULL << width) - 1ULL);
+    }
+
+    static std::uint64_t bin(BinOp op, std::uint64_t a, std::uint64_t b) {
+        switch (op) {
+        case BinOp::Add: return a + b;
+        case BinOp::Sub: return a - b;
+        case BinOp::Mul: return a * b;
+        case BinOp::Div: return b == 0 ? ~0ULL : a / b;
+        case BinOp::Mod: return b == 0 ? a : a % b;
+        case BinOp::And: return a & b;
+        case BinOp::Or: return a | b;
+        case BinOp::Xor: return a ^ b;
+        case BinOp::Shl: return b >= 64 ? 0 : a << b;
+        case BinOp::Shr: return b >= 64 ? 0 : a >> b;
+        case BinOp::Eq: return a == b;
+        case BinOp::Ne: return a != b;
+        case BinOp::Lt: return a < b;
+        case BinOp::Le: return a <= b;
+        case BinOp::Gt: return a > b;
+        case BinOp::Ge: return a >= b;
+        case BinOp::Min: return std::min(a, b);
+        case BinOp::Max: return std::max(a, b);
+        }
+        return 0;
+    }
+
+    void write(std::uint32_t reg, std::uint64_t value) {
+        regs_[reg] = reg < program_.varWidth.size() ? mask(program_.varWidth[reg], value) : value;
+    }
+
+    const Program& program_;
+    KernelIo& io_;
+    std::vector<std::uint64_t> regs_;
+    std::vector<std::vector<std::uint64_t>> arrays_;
+    std::uint32_t pc_ = 0;
+    std::int64_t waitCycles_ = 0;
+    bool running_ = false;
+    std::uint64_t cycles_ = 0;
+    std::uint64_t stalls_ = 0;
+    std::uint64_t executed_ = 0;
+};
+
+/// Seeded IO that refuses about a third of all stream reads and writes,
+/// and every read of an exhausted input. Two copies with one seed refuse
+/// the same calls as long as both VMs make the same calls.
+class FlakyIo : public KernelIo {
+public:
+    FlakyIo(const Program& program, std::uint64_t seed) : rng_(seed) {
+        kernelgen::Rng data(seed + 1);
+        for (PortId id = 0; id < program.ports.size(); ++id) {
+            const KernelPort& port = program.ports[id];
+            const std::uint64_t width = port.width >= 64 ? ~0ULL : (1ULL << port.width) - 1;
+            if (port.kind == PortKind::StreamIn) {
+                for (int i = 0; i < 512; ++i) {
+                    inputs[id].push_back(data.next() & width);
+                }
+            } else if (port.kind == PortKind::ScalarIn) {
+                args[id] = data.below(64);
+            }
+        }
+    }
+
+    std::uint64_t argValue(PortId port) override { return args[port]; }
+    void setResult(PortId port, std::uint64_t value) override { results[port] = value; }
+    bool streamRead(PortId port, std::uint64_t& value) override {
+        auto& queue = inputs[port];
+        if (rng_.below(3) == 0 || queue.empty()) {
+            return false;
+        }
+        value = queue.front();
+        queue.pop_front();
+        return true;
+    }
+    bool streamWrite(PortId port, std::uint64_t value) override {
+        if (rng_.below(3) == 0) {
+            return false;
+        }
+        outputs[port].push_back(value);
+        return true;
+    }
+
+    std::map<PortId, std::uint64_t> args;
+    std::map<PortId, std::uint64_t> results;
+    std::map<PortId, std::deque<std::uint64_t>> inputs;
+    std::map<PortId, std::vector<std::uint64_t>> outputs;
+
+private:
+    kernelgen::Rng rng_;
+};
+
+/// Runs `program` on the VM and on the reference, each against its own
+/// FlakyIo, comparing every observable after every tick and the outputs
+/// and arrays at the end. A run that throws must throw the same message
+/// on both.
+::testing::AssertionResult runsAlike(const Program& program, std::uint64_t seed) {
+    FlakyIo vmIo(program, seed);
+    FlakyIo refIo(program, seed);
+    KernelVm vm(program, vmIo);
+    ReferenceVm ref(program, refIo);
+    vm.start();
+    ref.start();
+    constexpr std::uint64_t kMaxTicks = 2'000'000;
+    std::uint64_t tick = 0;
+    for (; tick < kMaxTicks && (vm.running() || ref.running()); ++tick) {
+        std::string vmError;
+        std::string refError;
+        bool vmProgress = false;
+        bool refProgress = false;
+        try {
+            vmProgress = vm.tick();
+        } catch (const SimulationError& e) {
+            vmError = e.what();
+        }
+        try {
+            refProgress = ref.tick();
+        } catch (const std::out_of_range&) {
+            refError = "out of bounds";
+        }
+        if (vmError.empty() != refError.empty() ||
+            (!vmError.empty() && vmError.find("out of bounds") == std::string::npos)) {
+            return ::testing::AssertionFailure()
+                   << "tick " << tick << ": vm error '" << vmError << "', reference error '"
+                   << refError << "'";
+        }
+        if (!vmError.empty()) {
+            break;  // both stopped at the same out-of-bounds access
+        }
+        const auto state = [](const auto& m, bool progress) {
+            return std::vector<std::uint64_t>{progress,           m.running(),
+                                              m.pc(),             m.pendingWait(),
+                                              m.cycles(),         m.stallCycles(),
+                                              m.instructionsExecuted()};
+        };
+        if (state(vm, vmProgress) != state(ref, refProgress)) {
+            return ::testing::AssertionFailure()
+                   << "tick " << tick << ": (progress, running, pc, pendingWait, cycles, "
+                   << "stalls, executed) differ: vm pc " << vm.pc() << " executed "
+                   << vm.instructionsExecuted() << ", reference pc " << ref.pc()
+                   << " executed " << ref.instructionsExecuted();
+        }
+    }
+    if (tick == kMaxTicks) {
+        return ::testing::AssertionFailure() << "no verdict in " << kMaxTicks << " ticks";
+    }
+    if (vmIo.outputs != refIo.outputs || vmIo.results != refIo.results) {
+        return ::testing::AssertionFailure() << "outputs or results differ";
+    }
+    for (ArrayId id = 0; id < program.arrays.size(); ++id) {
+        if (vm.array(id) != ref.array(id)) {
+            return ::testing::AssertionFailure() << "array " << id << " differs";
+        }
+    }
+    return ::testing::AssertionSuccess() << vm.instructionsExecuted() << " instructions";
+}
+
+TEST(VmDifferential, AppLibraryKernelsMatchThePlainInterpreter) {
+    const std::vector<std::pair<Kernel, Directives>> kernels{
+        {apps::makeGrayScaleKernel(64), apps::grayScaleDirectives()},
+        {apps::makeHistogramKernel(64), apps::histogramDirectives()},
+        {apps::makeOtsuKernel(64), apps::otsuDirectives()},
+        {apps::makeBinarizationKernel(64), apps::binarizationDirectives()},
+        {apps::makeAddKernel(), Directives{}},
+        {apps::makeMulKernel(), Directives{}},
+        {apps::makeGaussKernel(32), Directives{}},
+        {apps::makeEdgeKernel(32), Directives{}},
+        {apps::makeSobelKernel(8, 8), Directives{}},
+    };
+    for (const auto& [kernel, directives] : kernels) {
+        const Program program = compile(kernel, directives);
+        for (const std::uint64_t seed : {1ULL, 2ULL, 7919ULL}) {
+            EXPECT_TRUE(runsAlike(program, seed)) << kernel.name() << " seed " << seed;
+        }
+    }
+}
+
+TEST(VmDifferential, RandomKernelsMatchThePlainInterpreter) {
+    std::vector<std::uint64_t> seeds(199);
+    std::iota(seeds.begin(), seeds.end(), 1);
+    seeds.push_back(7919);  // held out
+    for (const std::uint64_t seed : seeds) {
+        const Kernel kernel = kernelgen::randomKernel(seed);
+        Directives unoptimized;
+        unoptimized.enableOptimizer = false;
+        for (const Directives& d : {Directives{}, unoptimized}) {
+            EXPECT_TRUE(runsAlike(compile(kernel, d), seed)) << "seed " << seed;
+        }
+    }
 }
 
 TEST(Bytecode, DisassembleMentionsStructure) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -385,7 +388,13 @@ public:
         return false;
     }
     bool canSleep() const override { return true; }
-    void armWake() override { box_.parked = this; }
+    std::uint64_t fallAsleep() override {
+        const std::uint64_t quiet = quietFor();
+        if (quiet > 0) {
+            box_.parked = this;
+        }
+        return quiet;
+    }
     std::string debugState() const override {
         return "waited " + std::to_string(waited) + " cycles";
     }
@@ -584,6 +593,163 @@ TEST(Engine, FinalVerdictAsksEveryComponentAfterSettling) {
         EXPECT_EQ(receiver.age, cycles);
         EXPECT_EQ(recorder.copiedAge, cycles) << (pinned ? "pinned" : "free");
     }
+}
+
+/// A scripted component for the randomized scheduler property: it acts
+/// (progress, records the cycle, may poke another component) every
+/// `span` + 1 ticks, with spans drawn from its own seeded stream, and
+/// goes idle after `acts` acts. The ticks in between only count down and
+/// return the component's fixed quiet progress flag. A poke wakes it and
+/// ends its countdown, so it acts on its next tick.
+class Scripted : public Component {
+public:
+    Scripted(const Engine& engine, std::string name, std::uint64_t seed, bool sleeps)
+        : engine_(engine), name_(std::move(name)), rng_(seed), sleeps_(sleeps) {
+        actsLeft_ = 3 + rng_() % 12;
+        quietProgress_ = rng_() % 2 == 0;
+        wait_ = nextSpan();
+    }
+
+    void setPeers(std::vector<Scripted*> peers) { peers_ = std::move(peers); }
+
+    const std::string& name() const override { return name_; }
+    bool tick() override {
+        ++age;
+        if (actsLeft_ == 0) {
+            return false;
+        }
+        if (wait_ > 0) {
+            --wait_;
+            progressTicks += quietProgress_ ? 1 : 0;
+            return quietProgress_;
+        }
+        acts.push_back(engine_.now());
+        ++progressTicks;
+        --actsLeft_;
+        wait_ = nextSpan();
+        if (!peers_.empty() && rng_() % 3 == 0) {
+            peers_[rng_() % peers_.size()]->poke();
+        }
+        return true;
+    }
+    bool idle() const override { return actsLeft_ == 0; }
+    std::uint64_t quietFor() const override { return idle() ? kUnbounded : wait_; }
+    bool skip(std::uint64_t cycles) override {
+        age += cycles;
+        if (idle()) {
+            return false;
+        }
+        wait_ -= cycles;
+        progressTicks += quietProgress_ ? cycles : 0;
+        return quietProgress_;
+    }
+    bool canSleep() const override { return sleeps_; }
+    std::string debugState() const override {
+        return std::to_string(actsLeft_) + " acts left, waiting " + std::to_string(wait_);
+    }
+
+    void poke() {
+        wake();
+        wait_ = 0;
+    }
+
+    std::vector<std::uint64_t> acts;
+    std::uint64_t age = 0;
+    std::uint64_t progressTicks = 0;
+
+private:
+    std::uint64_t nextSpan() {
+        // Mostly short spans, some long enough to trip the stall limit.
+        return rng_() % 4 == 0 ? rng_() % 300 : rng_() % 6;
+    }
+
+    const Engine& engine_;
+    std::string name_;
+    std::mt19937_64 rng_;
+    bool sleeps_;
+    bool quietProgress_ = false;
+    std::uint64_t actsLeft_ = 0;
+    std::uint64_t wait_ = 0;
+    std::vector<Scripted*> peers_;
+};
+
+struct ScriptOutcome {
+    std::string verdict;
+    std::vector<std::vector<std::uint64_t>> acts;  ///< by component index
+    std::vector<std::uint64_t> ages;
+    std::vector<std::uint64_t> progressTicks;
+    std::vector<std::uint64_t> lastProgress;
+    std::uint64_t realTicks = 0;
+
+    bool operator==(const ScriptOutcome& o) const {
+        return verdict == o.verdict && acts == o.acts && ages == o.ages &&
+               progressTicks == o.progressTicks && lastProgress == o.lastProgress;
+    }
+};
+
+/// Twelve scripted components, some sleeping, registered in a seeded
+/// order, run to a verdict; `pinned` steps every cycle.
+ScriptOutcome runScript(std::uint64_t seed, bool pinned) {
+    std::mt19937_64 rng(seed);
+    Engine engine;
+    std::vector<std::unique_ptr<Scripted>> parts;
+    for (int i = 0; i < 12; ++i) {
+        parts.push_back(std::make_unique<Scripted>(engine, "c" + std::to_string(i), rng(),
+                                                   rng() % 4 != 0));
+    }
+    std::vector<Scripted*> all;
+    for (const auto& p : parts) {
+        all.push_back(p.get());
+    }
+    for (const auto& p : parts) {
+        p->setPeers(all);
+    }
+    std::vector<Scripted*> order = all;
+    std::shuffle(order.begin(), order.end(), rng);
+    for (Scripted* p : order) {
+        engine.add(*p);
+    }
+    StepPin pin;
+    if (pinned) {
+        engine.addProbe(pin);
+    }
+    const std::uint64_t stallLimit = 50 + rng() % 400;
+    ScriptOutcome out;
+    try {
+        out.verdict = "idle after " + std::to_string(engine.runUntilIdle(1'000'000, stallLimit));
+    } catch (const DeadlockError& e) {
+        out.verdict = e.report().render();
+    }
+    const DeadlockReport report = engine.snapshot();
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+        out.acts.push_back(parts[i]->acts);
+        out.ages.push_back(parts[i]->age);
+        out.progressTicks.push_back(parts[i]->progressTicks);
+        out.realTicks += engine.realTicks(*parts[i]);
+    }
+    for (const auto& c : report.components) {
+        out.lastProgress.push_back(c.lastProgressCycle);
+    }
+    return out;
+}
+
+TEST(Engine, RandomScriptsRunAsPerCycleSteppingDoes) {
+    std::size_t deadlocks = 0;
+    std::uint64_t freeTicks = 0;
+    std::uint64_t pinnedTicks = 0;
+    for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+        const ScriptOutcome free = runScript(seed, false);
+        const ScriptOutcome pinned = runScript(seed, true);
+        ASSERT_TRUE(free == pinned) << "seed " << seed << "\nfree: " << free.verdict
+                                    << "\npinned: " << pinned.verdict;
+        deadlocks += free.verdict.find("deadlock") != std::string::npos ? 1 : 0;
+        freeTicks += free.realTicks;
+        pinnedTicks += pinned.realTicks;
+    }
+    // Both verdicts occur, and the free runs sleep through most ticks.
+    EXPECT_GT(deadlocks, 0u);
+    EXPECT_LT(deadlocks, 150u);
+    EXPECT_LT(freeTicks * 2, pinnedTicks);
 }
 
 TEST(Engine, FixedRunIgnoresIdle) {
