@@ -1,5 +1,7 @@
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -9,6 +11,26 @@ namespace socgen {
 
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+
+namespace detail {
+inline void appendPart(std::string& out, std::string_view text) { out.append(text); }
+template <std::integral T>
+    requires(!std::same_as<T, bool> && !std::same_as<T, char>)
+void appendPart(std::string& out, T value) {
+    char digits[24] = {};
+    out.append(digits, std::to_chars(digits, digits + sizeof digits, value).ptr);
+}
+} // namespace detail
+
+/// Concatenates text pieces and integers (in decimal, as printf's %d
+/// family writes them) into one string: the generated-name paths of the
+/// netlist builders, without printf's parsing.
+template <typename... Parts>
+std::string concat(const Parts&... parts) {
+    std::string out;
+    (detail::appendPart(out, parts), ...);
+    return out;
+}
 
 /// Splits on any character in `separators`, dropping empty pieces.
 std::vector<std::string> split(std::string_view text, std::string_view separators);

@@ -47,6 +47,14 @@ public:
           netlist_(sanitizeIdentifier(kernel.name())) {}
 
     rtl::Netlist run() {
+        // App-library cores: 1.7-8.5 nets and cells per scheduled op, ~3 pins a cell.
+        std::size_t ops = sched_.top.dfg.size();
+        for (const LoopSchedule& loop : sched_.loops) {
+            ops += loop.body.dfg.size();
+        }
+        const std::size_t size = 16 + 3 * ops;
+        netlist_.reserve(size, size, 3 * size);
+
         makePorts();
         makeStateMachineNets();
         makeVarNets();
@@ -174,13 +182,13 @@ private:
         for (int u = 0; u < bind_.mulUnits; ++u) {
             SharedUnit unit;
             unit.kind = CellKind::Mul;
-            unit.out = netlist_.addNet(format("mul_unit%d_out", u), 32);
+            unit.out = netlist_.addNet(concat("mul_unit", u, "_out"), 32);
             mulUnits_.push_back(unit);
         }
         for (int u = 0; u < bind_.divUnits; ++u) {
             SharedUnit unit;
             unit.kind = CellKind::Div;
-            unit.out = netlist_.addNet(format("div_unit%d_out", u), 32);
+            unit.out = netlist_.addNet(concat("div_unit", u, "_out"), 32);
             divUnits_.push_back(unit);
         }
     }
@@ -204,10 +212,8 @@ private:
         if (it != constCache_.end()) {
             return it->second;
         }
-        const NetId net = netlist_.addNet(format("k%lld_w%u", static_cast<long long>(value),
-                                                 width),
-                                          width);
-        netlist_.addCell(format("const_%zu", netlist_.cells().size()), CellKind::Const,
+        const NetId net = netlist_.addNet(concat("k", value, "_w", width), width);
+        netlist_.addCell(concat("const_", netlist_.cells().size()), CellKind::Const,
                          width, {}, {net}, value);
         constCache_[key] = net;
         return net;
@@ -218,9 +224,8 @@ private:
         if (it != eqCache_.end()) {
             return it->second;
         }
-        const NetId out = netlist_.addNet(format("st_eq_%lld", static_cast<long long>(step)),
-                                          1);
-        netlist_.addCell(format("st_eq_c%lld", static_cast<long long>(step)), CellKind::Eq,
+        const NetId out = netlist_.addNet(concat("st_eq_", step), 1);
+        netlist_.addCell(concat("st_eq_c", step), CellKind::Eq,
                          16, {state_, constant(step, 16)}, {out});
         eqCache_[step] = out;
         return out;
@@ -228,34 +233,25 @@ private:
 
     NetId binaryCell(CellKind kind, NetId a, NetId b, unsigned width,
                      std::string_view base) {
-        const NetId out = netlist_.addNet(format("%.*s_out%zu", static_cast<int>(base.size()),
-                                                 base.data(), netlist_.nets().size()),
-                                          width);
-        netlist_.addCell(format("%.*s_c%zu", static_cast<int>(base.size()), base.data(),
-                                netlist_.cells().size()),
-                         kind, width, {a, b}, {out});
+        const NetId out = netlist_.addNet(concat(base, "_out", netlist_.nets().size()), width);
+        netlist_.addCell(concat(base, "_c", netlist_.cells().size()), kind, width, {a, b},
+                         {out});
         return out;
     }
 
     NetId muxCell(NetId sel, NetId whenZero, NetId whenNonZero, unsigned width) {
-        const NetId out = netlist_.addNet(format("mux_out%zu", netlist_.nets().size()),
-                                          width);
-        netlist_.addCell(format("mux_c%zu", netlist_.cells().size()), CellKind::Mux, width,
+        const NetId out = netlist_.addNet(concat("mux_out", netlist_.nets().size()), width);
+        netlist_.addCell(concat("mux_c", netlist_.cells().size()), CellKind::Mux, width,
                          {sel, whenZero, whenNonZero}, {out});
         return out;
     }
 
     NetId regCell(NetId d, NetId en, unsigned width, std::string_view base) {
-        const NetId out = netlist_.addNet(format("%.*s_q%zu", static_cast<int>(base.size()),
-                                                 base.data(), netlist_.nets().size()),
-                                          width);
-        std::vector<NetId> inputs{d};
-        if (en != rtl::kInvalid) {
-            inputs.push_back(en);
-        }
-        netlist_.addCell(format("%.*s_r%zu", static_cast<int>(base.size()), base.data(),
-                                netlist_.cells().size()),
-                         CellKind::Reg, width, std::move(inputs), {out});
+        const NetId out = netlist_.addNet(concat(base, "_q", netlist_.nets().size()), width);
+        const NetId inputs[] = {d, en};
+        netlist_.addCell(concat(base, "_r", netlist_.cells().size()), CellKind::Reg, width,
+                         std::span<const NetId>(inputs, en != rtl::kInvalid ? 2 : 1),
+                         std::span(&out, 1));
         return out;
     }
 
@@ -379,9 +375,9 @@ private:
             if (op.uop == UnOp::Neg) {
                 return binaryCell(CellKind::Sub, constant(0, op.width), a, op.width, "neg");
             }
-            const NetId out = netlist_.addNet(format("not_out%zu", netlist_.nets().size()),
+            const NetId out = netlist_.addNet(concat("not_out", netlist_.nets().size()),
                                               op.width);
-            netlist_.addCell(format("not_c%zu", netlist_.cells().size()), CellKind::Not,
+            netlist_.addCell(concat("not_c", netlist_.cells().size()), CellKind::Not,
                              op.width, {a}, {out});
             return out;
         }
@@ -436,7 +432,7 @@ private:
                 // Update the pre-created output net's width.
                 const NetId a = cascade(unit.inA, unit.width);
                 const NetId b = cascade(unit.inB, unit.width);
-                netlist_.addCell(format("fu_%d", index++), unit.kind, unit.width, {a, b},
+                netlist_.addCell(concat("fu_", index++), unit.kind, unit.width, {a, b},
                                  {unit.out});
             }
         }
@@ -524,7 +520,7 @@ private:
                 status.push_back(port.tready);
             }
         }
-        netlist_.addCell("ctrl_fsm", CellKind::Fsm, 16, std::move(status), {state_},
+        netlist_.addCell("ctrl_fsm", CellKind::Fsm, 16, status, std::span(&state_, 1),
                          std::max<std::int64_t>(totalSteps_ + 1, 2));
         const NetId done = eqState(totalSteps_);
         netlist_.addPort("ap_done", rtl::PortDir::Out, 1, done);

@@ -207,8 +207,8 @@ HlsResult HlsEngine::assembleNetwork(
     // ap_done = AND of every process's done.
     rtl::NetId done = processNets[0].at("ap_done");
     for (std::size_t i = 1; i < processes.size(); ++i) {
-        const rtl::NetId next = wrapper.addNet(format("done_and_%zu", i), 1);
-        wrapper.addCell(format("done_and_%zu", i), rtl::CellKind::And, 1,
+        const rtl::NetId next = wrapper.addNet(concat("done_and_", i), 1);
+        wrapper.addCell(concat("done_and_", i), rtl::CellKind::And, 1,
                         {done, processNets[i].at("ap_done")}, {next});
         done = next;
     }

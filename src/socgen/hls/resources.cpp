@@ -86,7 +86,7 @@ ResourceEstimate CostModel::priceCell(const rtl::Cell& cell) const {
         break;
     case CellKind::Reg:
         r.ff = w;
-        r.lut = cell.inputs.size() > 1 ? (w + 3) / 4 : 0;  // clock-enable gating
+        r.lut = cell.inputCount > 1 ? (w + 3) / 4 : 0;  // clock-enable gating
         break;
     case CellKind::Bram:
         r.bram18 = bram18For(cell.param, cell.width);

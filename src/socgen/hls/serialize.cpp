@@ -269,12 +269,18 @@ void putNetlist(BinWriter& w, const rtl::Netlist& n) {
         w.str(net.name);
         w.u32(net.width);
     });
+    const auto putPins = [&](std::span<const rtl::NetId> pins) {
+        w.u64(pins.size());
+        for (const rtl::NetId id : pins) {
+            w.u32(id);
+        }
+    };
     w.vec(n.cells(), [&](const rtl::Cell& cell) {
         w.str(cell.name);
         w.u32(static_cast<std::uint32_t>(cell.kind));
         w.u32(cell.width);
-        w.vec(cell.inputs, [&](rtl::NetId id) { w.u32(id); });
-        w.vec(cell.outputs, [&](rtl::NetId id) { w.u32(id); });
+        putPins(n.inputs(cell));
+        putPins(n.outputs(cell));
         w.i64(cell.param);
     });
     w.vec(n.ports(), [&](const rtl::Port& port) {
@@ -289,21 +295,34 @@ rtl::Netlist getNetlist(BinReader& r) {
     rtl::Netlist n(r.str());
     try {
         const std::uint64_t netCount = r.size();
+        n.reserve(netCount, 0, 0);
         for (std::uint64_t i = 0; i < netCount; ++i) {
             std::string name = r.str();
             const unsigned width = r.u32();
             (void)n.addNet(std::move(name), width);
         }
         const std::uint64_t cellCount = r.size();
+        // Most cells have three pins (two operands, one result).
+        n.reserve(netCount, cellCount, 3 * cellCount);
+        std::vector<rtl::NetId> pins;  // one cell's inputs, then its outputs
+        const auto readPins = [&] {
+            const std::uint64_t count = r.size();
+            for (std::uint64_t k = 0; k < count; ++k) {
+                pins.push_back(r.u32());
+            }
+            return count;
+        };
         for (std::uint64_t i = 0; i < cellCount; ++i) {
             std::string name = r.str();
             const auto kind = static_cast<rtl::CellKind>(r.u32());
             const unsigned width = r.u32();
-            auto inputs = r.vec<rtl::NetId>([&] { return r.u32(); });
-            auto outputs = r.vec<rtl::NetId>([&] { return r.u32(); });
+            pins.clear();
+            const std::uint64_t inputCount = readPins();
+            readPins();
             const std::int64_t param = r.i64();
-            (void)n.addCell(std::move(name), kind, width, std::move(inputs),
-                            std::move(outputs), param);
+            (void)n.addCell(std::move(name), kind, width,
+                            std::span(pins).first(inputCount),
+                            std::span(pins).subspan(inputCount), param);
         }
         const std::uint64_t portCount = r.size();
         for (std::uint64_t i = 0; i < portCount; ++i) {

@@ -84,12 +84,12 @@ Digest128 netlistDigest(const Netlist& netlist) {
         h.field(cell.name);
         h.field(static_cast<std::uint64_t>(cell.kind));
         h.field(static_cast<std::uint64_t>(cell.width));
-        h.field(static_cast<std::uint64_t>(cell.inputs.size()));
-        for (const NetId id : cell.inputs) {
+        h.field(static_cast<std::uint64_t>(cell.inputCount));
+        for (const NetId id : netlist.inputs(cell)) {
             h.field(static_cast<std::uint64_t>(id));
         }
-        h.field(static_cast<std::uint64_t>(cell.outputs.size()));
-        for (const NetId id : cell.outputs) {
+        h.field(static_cast<std::uint64_t>(cell.outputCount));
+        for (const NetId id : netlist.outputs(cell)) {
             h.field(static_cast<std::uint64_t>(id));
         }
         h.field(cell.param);

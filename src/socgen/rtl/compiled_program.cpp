@@ -17,9 +17,8 @@ CompiledProgram compileProgram(const Netlist& netlist) {
     std::vector<std::uint32_t> cellLevel(netlist.cells().size(), 0);
     std::uint32_t maxLevel = 0;
     for (CellId id : topo) {
-        const Cell& c = netlist.cell(id);
         std::uint32_t level = 0;
-        for (NetId in : c.inputs) {
+        for (NetId in : netlist.inputs(netlist.cell(id))) {
             const CellId driver = netlist.net(in).driver;
             if (driver != kInvalid && isCombinational(netlist.cell(driver).kind)) {
                 level = std::max(level, cellLevel[driver] + 1);
@@ -41,18 +40,19 @@ CompiledProgram compileProgram(const Netlist& netlist) {
     std::vector<std::uint32_t> opOfCell(netlist.cells().size(), kInvalid);
     for (CellId id : byLevel) {
         const Cell& c = netlist.cell(id);
+        const std::span<const NetId> in = netlist.inputs(c);
         CompiledOp op;
         op.code = c.kind;
-        op.dst = c.outputs[0];
+        op.dst = netlist.outputs(c)[0];
         op.mask = compiledMaskForWidth(c.width);
-        if (!c.inputs.empty()) {
-            op.a = c.inputs[0];
+        if (!in.empty()) {
+            op.a = in[0];
         }
-        if (c.inputs.size() > 1) {
-            op.b = c.inputs[1];
+        if (in.size() > 1) {
+            op.b = in[1];
         }
-        if (c.inputs.size() > 2) {
-            op.c = c.inputs[2];
+        if (in.size() > 2) {
+            op.c = in[2];
         }
         if (c.kind == CellKind::Const) {
             op.imm = static_cast<std::uint64_t>(c.param) & op.mask;
@@ -70,24 +70,22 @@ CompiledProgram compileProgram(const Netlist& netlist) {
         ++count;
     }
 
-    // Consumer CSR: for each net, the combinational ops reading it.
-    std::vector<std::uint32_t> counts(netlist.nets().size(), 0);
-    for (CellId id : byLevel) {
-        for (NetId in : netlist.cell(id).inputs) {
-            ++counts[in];
-        }
-    }
+    // Consumer CSR: for each net, the combinational ops reading it, in op
+    // order. The netlist's fanout lists every reader in CellId order; keep
+    // the combinational ones and sort each net's ops.
+    const Fanout fanout = netlist.fanout();
     program.consumerFirst.assign(netlist.nets().size() + 1, 0);
-    for (std::size_t net = 0; net < counts.size(); ++net) {
-        program.consumerFirst[net + 1] = program.consumerFirst[net] + counts[net];
-    }
-    program.consumers.assign(program.consumerFirst.back(), 0);
-    std::vector<std::uint32_t> cursor(program.consumerFirst.begin(),
-                                      program.consumerFirst.end() - 1);
-    for (CellId id : byLevel) {
-        for (NetId in : netlist.cell(id).inputs) {
-            program.consumers[cursor[in]++] = opOfCell[id];
+    program.consumers.reserve(fanout.cells.size());
+    for (NetId net = 0; net < netlist.nets().size(); ++net) {
+        const std::size_t first = program.consumers.size();
+        for (const CellId reader : fanout.of(net)) {
+            if (opOfCell[reader] != kInvalid) {
+                program.consumers.push_back(opOfCell[reader]);
+            }
         }
+        std::sort(program.consumers.begin() + static_cast<std::ptrdiff_t>(first),
+                  program.consumers.end());
+        program.consumerFirst[net + 1] = static_cast<std::uint32_t>(program.consumers.size());
     }
 
     // Sequential update program, in CellId order (matching the
@@ -97,35 +95,33 @@ CompiledProgram compileProgram(const Netlist& netlist) {
         if (isCombinational(c.kind)) {
             continue;
         }
+        const std::span<const NetId> in = netlist.inputs(c);
         CompiledSeqOp op;
         op.cell = id;
-        op.out = c.outputs[0];
+        op.out = netlist.outputs(c)[0];
         op.mask = compiledMaskForWidth(c.width);
         op.param = c.param;
         switch (c.kind) {
         case CellKind::Reg:
-            op.kind = c.inputs.size() < 2 ? CompiledSeqKind::RegAlways
-                                          : CompiledSeqKind::RegEnable;
-            op.d = c.inputs[0];
-            if (c.inputs.size() > 1) {
-                op.en = c.inputs[1];
+            op.kind = in.size() < 2 ? CompiledSeqKind::RegAlways : CompiledSeqKind::RegEnable;
+            op.d = in[0];
+            if (in.size() > 1) {
+                op.en = in[1];
             }
             break;
         case CellKind::Bram:
             op.kind = CompiledSeqKind::Bram;
-            op.d = c.inputs[0];   // addr
-            op.en = c.inputs[1];  // wdata
-            op.we = c.inputs[2];
+            op.d = in[0];   // addr
+            op.en = in[1];  // wdata
+            op.we = in[2];
             op.mem = static_cast<std::uint32_t>(program.memDepths.size());
             program.memDepths.push_back(static_cast<std::size_t>(c.param));
             break;
         case CellKind::Fsm:
             op.kind = CompiledSeqKind::Fsm;
             op.statusFirst = static_cast<std::uint32_t>(program.fsmStatus.size());
-            op.statusCount = static_cast<std::uint32_t>(c.inputs.size());
-            for (NetId in : c.inputs) {
-                program.fsmStatus.push_back(in);
-            }
+            op.statusCount = static_cast<std::uint32_t>(in.size());
+            program.fsmStatus.insert(program.fsmStatus.end(), in.begin(), in.end());
             break;
         default:
             // Reachable only when a new sequential CellKind lands without

@@ -1,7 +1,9 @@
 #include "socgen/rtl/compose.hpp"
 
 #include "socgen/common/error.hpp"
+#include "socgen/common/strings.hpp"
 
+#include <algorithm>
 #include <vector>
 
 namespace socgen::rtl {
@@ -9,11 +11,9 @@ namespace socgen::rtl {
 std::map<std::string, NetId> flattenInto(Netlist& dst, const Netlist& src,
                                          std::string_view prefix,
                                          const std::map<std::string, NetId>& portBind) {
-    const std::string pfx(prefix);
-
     // Port-net remaps requested by the caller, validated against the
-    // instance's signature up front.
-    std::map<NetId, NetId> remap;  // src net -> dst net
+    // instance's signature up front. kInvalid entries get fresh nets.
+    std::vector<NetId> netMap(src.nets().size(), kInvalid);
     struct Alias {
         NetId canonical;  ///< dst net the shared src net resolves to
         NetId extra;      ///< additional dst net that must carry the value
@@ -22,26 +22,29 @@ std::map<std::string, NetId> flattenInto(Netlist& dst, const Netlist& src,
     };
     std::vector<Alias> aliases;
     for (const auto& [portName, dstNet] : portBind) {
-        if (!src.hasPort(portName)) {
+        const auto it = std::ranges::find(src.ports(), portName, &Port::name);
+        if (it == src.ports().end()) {
             throw Error("flatten: instance '" + src.name() + "' has no port '" + portName +
                         "'");
         }
-        const Port& port = src.port(portName);
+        const Port& port = *it;
         if (dst.net(dstNet).width != port.width) {
             throw Error("flatten: port '" + portName + "' of '" + src.name() + "' is " +
                         std::to_string(port.width) + " bit(s) but the bound net '" +
                         dst.net(dstNet).name + "' is " +
                         std::to_string(dst.net(dstNet).width));
         }
-        const auto [it, fresh] = remap.emplace(port.net, dstNet);
-        if (!fresh && it->second != dstNet) {
+        NetId& mapped = netMap[port.net];
+        if (mapped == kInvalid) {
+            mapped = dstNet;
+        } else if (mapped != dstNet) {
             if (port.dir == PortDir::Out) {
                 // Two output ports exposing the same internal net (e.g. a
                 // kernel writing two streams from one FSM state shares the
                 // tvalid select net between both ports): keep the first
                 // mapping canonical and fan the extra binding out through
                 // a buffer so both parent nets carry the value.
-                aliases.push_back(Alias{it->second, dstNet, port.width, portName});
+                aliases.push_back(Alias{mapped, dstNet, port.width, portName});
                 continue;
             }
             throw Error("flatten: port '" + portName + "' of '" + src.name() +
@@ -49,38 +52,13 @@ std::map<std::string, NetId> flattenInto(Netlist& dst, const Netlist& src,
         }
     }
 
-    // Copy nets (bound ones resolve to the parent net, everything else is
-    // a fresh prefixed net).
-    std::vector<NetId> netMap(src.nets().size(), kInvalid);
-    for (NetId id = 0; id < src.nets().size(); ++id) {
-        const auto bound = remap.find(id);
-        if (bound != remap.end()) {
-            netMap[id] = bound->second;
-        } else {
-            netMap[id] = dst.addNet(pfx + src.net(id).name, src.net(id).width);
-        }
-    }
-
-    // Copy cells with remapped pins; addCell re-derives net drivers in
-    // dst, which is what wires a bound output port to the parent net.
-    for (const Cell& cell : src.cells()) {
-        std::vector<NetId> inputs;
-        inputs.reserve(cell.inputs.size());
-        for (const NetId in : cell.inputs) {
-            inputs.push_back(netMap[in]);
-        }
-        std::vector<NetId> outputs;
-        outputs.reserve(cell.outputs.size());
-        for (const NetId out : cell.outputs) {
-            outputs.push_back(netMap[out]);
-        }
-        dst.addCell(pfx + cell.name, cell.kind, cell.width, std::move(inputs),
-                    std::move(outputs), cell.param);
-    }
+    // Nets, pins and cells in one pass; re-deriving drivers in dst is what
+    // wires a bound output port to the parent net.
+    dst.appendInstance(src, prefix, netMap);
 
     // Fan shared output ports out to their extra parent nets (x | x = x).
     for (const Alias& alias : aliases) {
-        dst.addCell(pfx + "alias_" + alias.port, CellKind::Or, alias.width,
+        dst.addCell(concat(prefix, "alias_", alias.port), CellKind::Or, alias.width,
                     {alias.canonical, alias.canonical}, {alias.extra});
     }
 

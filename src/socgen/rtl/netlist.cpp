@@ -74,6 +74,31 @@ PinSpec pinSpec(CellKind kind) {
     return {0, 0};
 }
 
+namespace {
+
+template <typename T>
+void grow(std::vector<T>& table, std::size_t size) {
+    if (size > table.capacity()) {
+        table.reserve(std::max(size, 2 * table.capacity()));
+    }
+}
+
+} // namespace
+
+void Netlist::reserve(std::size_t nets, std::size_t cells, std::size_t pins) {
+    grow(nets_, nets);
+    grow(cells_, cells);
+    grow(pins_, pins);
+}
+
+void Netlist::drive(NetId net, CellId cell) {
+    if (nets_[net].driver != kInvalid) {
+        throw Error(format("netlist %s: net '%s' has multiple drivers", name_.c_str(),
+                           nets_[net].name.c_str()));
+    }
+    nets_[net].driver = cell;
+}
+
 NetId Netlist::addNet(std::string name, unsigned width) {
     checked_.set(false);
     nets_.push_back(Net{std::move(name), width, kInvalid});
@@ -81,21 +106,49 @@ NetId Netlist::addNet(std::string name, unsigned width) {
 }
 
 CellId Netlist::addCell(std::string name, CellKind kind, unsigned width,
-                        std::vector<NetId> inputs, std::vector<NetId> outputs,
+                        std::span<const NetId> inputs, std::span<const NetId> outputs,
                         std::int64_t param) {
     checked_.set(false);
     const auto id = static_cast<CellId>(cells_.size());
     for (NetId out : outputs) {
         require(out < nets_.size(), "cell output net out of range");
-        if (nets_[out].driver != kInvalid) {
-            throw Error(format("netlist %s: net '%s' has multiple drivers", name_.c_str(),
-                               nets_[out].name.c_str()));
-        }
-        nets_[out].driver = id;
+        drive(out, id);
     }
-    cells_.push_back(
-        Cell{std::move(name), kind, width, std::move(inputs), std::move(outputs), param});
+    const auto firstPin = static_cast<std::uint32_t>(pins_.size());
+    pins_.insert(pins_.end(), inputs.begin(), inputs.end());
+    pins_.insert(pins_.end(), outputs.begin(), outputs.end());
+    cells_.push_back(Cell{std::move(name), kind, width, firstPin,
+                          static_cast<std::uint32_t>(inputs.size()),
+                          static_cast<std::uint32_t>(outputs.size()), param});
     return id;
+}
+
+void Netlist::appendInstance(const Netlist& src, std::string_view prefix,
+                             std::vector<NetId>& netMap) {
+    require(netMap.size() == src.nets_.size(), "instance net map does not match its netlist");
+    checked_.set(false);
+    reserve(nets_.size() + src.nets_.size(), cells_.size() + src.cells_.size(),
+            pins_.size() + src.pins_.size());
+    for (NetId id = 0; id < src.nets_.size(); ++id) {
+        if (netMap[id] == kInvalid) {
+            netMap[id] = static_cast<NetId>(nets_.size());
+            nets_.push_back(Net{concat(prefix, src.nets_[id].name), src.nets_[id].width});
+        }
+    }
+    // The pin block is copied whole, translated; each cell keeps its pin
+    // layout at an offset.
+    const auto pinBase = static_cast<std::uint32_t>(pins_.size());
+    for (const NetId pin : src.pins_) {
+        pins_.push_back(netMap[pin]);
+    }
+    for (const Cell& c : src.cells_) {
+        Cell cell{concat(prefix, c.name), c.kind, c.width, pinBase + c.firstPin,
+                  c.inputCount, c.outputCount, c.param};
+        for (const NetId out : outputs(cell)) {
+            drive(out, static_cast<CellId>(cells_.size()));
+        }
+        cells_.push_back(std::move(cell));
+    }
 }
 
 void Netlist::addPort(std::string name, PortDir dir, unsigned width, NetId net) {
@@ -172,21 +225,22 @@ void Netlist::check() const {
     }
     for (const auto& c : cells_) {
         const PinSpec spec = pinSpec(c.kind);
-        if (spec.inputs >= 0 && static_cast<int>(c.inputs.size()) != spec.inputs) {
+        if (spec.inputs >= 0 && static_cast<int>(c.inputCount) != spec.inputs) {
             throw Error(format("netlist %s: cell '%s' (%s) expects %d inputs, has %zu",
                                name_.c_str(), c.name.c_str(),
                                std::string(cellKindName(c.kind)).c_str(), spec.inputs,
-                               c.inputs.size()));
+                               static_cast<std::size_t>(c.inputCount)));
         }
-        if (spec.inputs < 0 && c.inputs.empty()) {
+        if (spec.inputs < 0 && c.inputCount == 0) {
             throw Error(format("netlist %s: cell '%s' needs at least one input", name_.c_str(),
                                c.name.c_str()));
         }
-        if (static_cast<int>(c.outputs.size()) != spec.outputs) {
+        if (static_cast<int>(c.outputCount) != spec.outputs) {
             throw Error(format("netlist %s: cell '%s' expects %d outputs, has %zu",
-                               name_.c_str(), c.name.c_str(), spec.outputs, c.outputs.size()));
+                               name_.c_str(), c.name.c_str(), spec.outputs,
+                               static_cast<std::size_t>(c.outputCount)));
         }
-        for (NetId in : c.inputs) {
+        for (NetId in : inputs(c)) {
             if (in >= nets_.size()) {
                 throw Error(format("netlist %s: cell '%s' input references missing net",
                                    name_.c_str(), c.name.c_str()));
@@ -197,45 +251,67 @@ void Netlist::check() const {
     checked_.set(true);
 }
 
+Fanout Netlist::fanout() const {
+    // Count each net's readers into first[net + 1], prefix-sum, fill with
+    // first[net] as the cursor, then shift the cursors back into offsets.
+    Fanout f;
+    f.first.assign(nets_.size() + 1, 0);
+    for (const Cell& c : cells_) {
+        for (NetId in : inputs(c)) {
+            ++f.first[in + 1];
+        }
+    }
+    for (std::size_t net = 0; net < nets_.size(); ++net) {
+        f.first[net + 1] += f.first[net];
+    }
+    f.cells.resize(f.first.back());
+    for (CellId id = 0; id < cells_.size(); ++id) {
+        for (NetId in : inputs(cells_[id])) {
+            f.cells[f.first[in]++] = id;
+        }
+    }
+    for (std::size_t net = nets_.size(); net > 0; --net) {
+        f.first[net] = f.first[net - 1];
+    }
+    f.first[0] = 0;
+    return f;
+}
+
 std::vector<CellId> Netlist::topoOrder() const {
     // Kahn's algorithm restricted to combinational cells; sequential cell
     // outputs are treated as sources (they hold state across the cycle).
-    std::vector<int> pendingInputs(cells_.size(), 0);
-    std::vector<std::vector<CellId>> consumers(nets_.size());
+    const Fanout fan = fanout();
+    std::vector<std::uint32_t> pendingInputs(cells_.size(), 0);
+    std::vector<CellId> ready;
+    std::size_t combinationalCount = 0;
     for (CellId id = 0; id < cells_.size(); ++id) {
-        const auto& c = cells_[id];
+        const Cell& c = cells_[id];
         if (!isCombinational(c.kind)) {
             continue;
         }
-        for (NetId in : c.inputs) {
+        ++combinationalCount;
+        for (NetId in : inputs(c)) {
             const CellId driver = nets_[in].driver;
             if (driver != kInvalid && isCombinational(cells_[driver].kind)) {
                 ++pendingInputs[id];
-                consumers[in].push_back(id);
             }
         }
-    }
-    std::vector<CellId> order;
-    order.reserve(cells_.size());
-    std::vector<CellId> ready;
-    for (CellId id = 0; id < cells_.size(); ++id) {
-        if (isCombinational(cells_[id].kind) && pendingInputs[id] == 0) {
+        if (pendingInputs[id] == 0) {
             ready.push_back(id);
         }
     }
-    std::size_t combinationalCount = 0;
-    for (const auto& c : cells_) {
-        if (isCombinational(c.kind)) {
-            ++combinationalCount;
-        }
-    }
+    std::vector<CellId> order;
+    order.reserve(combinationalCount);
     while (!ready.empty()) {
         const CellId id = ready.back();
         ready.pop_back();
         order.push_back(id);
-        for (NetId out : cells_[id].outputs) {
-            for (CellId consumer : consumers[out]) {
-                if (--pendingInputs[consumer] == 0) {
+        // Every reader of a combinational cell's output that is itself
+        // combinational counted that pin above.
+        for (NetId out : outputs(cells_[id])) {
+            for (CellId consumer : fan.of(out)) {
+                if (isCombinational(cells_[consumer].kind) &&
+                    --pendingInputs[consumer] == 0) {
                     ready.push_back(consumer);
                 }
             }

@@ -36,7 +36,7 @@ std::uint64_t NetlistSimulator::truncate(std::uint64_t value, unsigned width) co
 }
 
 std::uint64_t NetlistSimulator::evalCell(const Cell& c) const {
-    const auto in = [&](std::size_t i) { return netValues_[c.inputs[i]]; };
+    const auto in = [&](std::size_t i) { return netValues_[netlist_.inputs(c)[i]]; };
     switch (c.kind) {
     case CellKind::Const: return static_cast<std::uint64_t>(c.param);
     case CellKind::Not: return ~in(0);
@@ -67,12 +67,12 @@ void NetlistSimulator::evaluate() {
     for (CellId id = 0; id < netlist_.cells().size(); ++id) {
         const auto& c = netlist_.cell(id);
         if (!isCombinational(c.kind)) {
-            netValues_[c.outputs[0]] = truncate(state_[id], c.width);
+            netValues_[netlist_.outputs(c)[0]] = truncate(state_[id], c.width);
         }
     }
     for (CellId id : order_) {
         const auto& c = netlist_.cell(id);
-        netValues_[c.outputs[0]] = truncate(evalCell(c), c.width);
+        netValues_[netlist_.outputs(c)[0]] = truncate(evalCell(c), c.width);
     }
 }
 
@@ -80,30 +80,31 @@ void NetlistSimulator::step() {
     evaluate();
     for (CellId id = 0; id < netlist_.cells().size(); ++id) {
         const auto& c = netlist_.cell(id);
+        const std::span<const NetId> in = netlist_.inputs(c);
         switch (c.kind) {
         case CellKind::Reg: {
-            const bool enabled = c.inputs.size() < 2 || netValues_[c.inputs[1]] != 0;
+            const bool enabled = in.size() < 2 || netValues_[in[1]] != 0;
             if (enabled) {
-                state_[id] = truncate(netValues_[c.inputs[0]], c.width);
+                state_[id] = truncate(netValues_[in[0]], c.width);
             }
             break;
         }
         case CellKind::Bram: {
-            const auto addr = static_cast<std::size_t>(netValues_[c.inputs[0]]);
+            const auto addr = static_cast<std::size_t>(netValues_[in[0]]);
             auto& mem = brams_[id];
             if (addr >= mem.size()) {
                 throw SimulationError(format("bram '%s' address %zu out of range %zu",
                                              c.name.c_str(), addr, mem.size()));
             }
-            if (netValues_[c.inputs[2]] != 0) {
-                mem[addr] = truncate(netValues_[c.inputs[1]], c.width);
+            if (netValues_[in[2]] != 0) {
+                mem[addr] = truncate(netValues_[in[1]], c.width);
             }
             state_[id] = mem[addr];  // synchronous read (read-after-write)
             break;
         }
         case CellKind::Fsm: {
-            bool anyStatus = c.inputs.empty();
-            for (NetId inNet : c.inputs) {
+            bool anyStatus = in.empty();
+            for (NetId inNet : in) {
                 anyStatus = anyStatus || netValues_[inNet] != 0;
             }
             if (anyStatus && state_[id] + 1 < static_cast<std::uint64_t>(c.param)) {

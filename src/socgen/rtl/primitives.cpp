@@ -6,13 +6,11 @@
 namespace socgen::rtl {
 
 NetId NetlistBuilder::freshNet(std::string_view base, unsigned width) {
-    return netlist_.addNet(format("%.*s_%u", static_cast<int>(base.size()), base.data(),
-                                  counter_++),
-                           width);
+    return netlist_.addNet(concat(base, "_", counter_++), width);
 }
 
 std::string NetlistBuilder::freshCellName(std::string_view base) {
-    return format("%.*s_c%u", static_cast<int>(base.size()), base.data(), counter_++);
+    return concat(base, "_c", counter_++);
 }
 
 NetId NetlistBuilder::inputPort(std::string name, unsigned width) {
@@ -52,12 +50,10 @@ NetId NetlistBuilder::mux(NetId sel, NetId whenZero, NetId whenNonZero, unsigned
 
 NetId NetlistBuilder::reg(NetId d, NetId en, unsigned width, std::string_view name) {
     const NetId out = freshNet(name.empty() ? "reg" : name, width);
-    std::vector<NetId> inputs{d};
-    if (en != kInvalid) {
-        inputs.push_back(en);
-    }
+    const NetId inputs[] = {d, en};
     netlist_.addCell(freshCellName(name.empty() ? "reg" : name), CellKind::Reg, width,
-                     std::move(inputs), {out});
+                     std::span<const NetId>(inputs, en != kInvalid ? 2 : 1),
+                     std::span(&out, 1));
     return out;
 }
 
@@ -73,7 +69,7 @@ NetId NetlistBuilder::fsm(std::vector<NetId> statusInputs, std::int64_t states,
                           std::string_view name) {
     const NetId out = freshNet(name.empty() ? "fsm" : name, 16);
     netlist_.addCell(freshCellName(name.empty() ? "fsm" : name), CellKind::Fsm, 16,
-                     std::move(statusInputs), {out}, states);
+                     statusInputs, std::span(&out, 1), states);
     return out;
 }
 
@@ -130,6 +126,10 @@ Netlist makeFifo(std::string name, unsigned width, std::uint32_t depth,
 
     NetlistBuilder b(std::move(name));
     Netlist& n = b.netlist();
+    // About 24 fixed nets and cells, then 4 per slot and 3 per read-mux
+    // stage, one net per cell; under three pins a cell.
+    const std::size_t size = 24 + 7 * static_cast<std::size_t>(depth);
+    n.reserve(size, size, 3 * size);
 
     const NetId inData = b.inputPort("in_tdata", width);
     const NetId inValid = b.inputPort("in_tvalid", 1);
@@ -192,8 +192,8 @@ Netlist makeFifo(std::string name, unsigned width, std::uint32_t depth,
         const NetId wSel = b.binary(CellKind::Eq, effWptr, slotC, 1);
         const NetId we = b.binary(CellKind::And, push, wSel, 1);
         const NetId slotQ =
-            n.addNet(format("slot%u_q", static_cast<unsigned>(s)), width);
-        n.addCell(format("slot%u_reg", static_cast<unsigned>(s)), CellKind::Reg, width,
+            n.addNet(concat("slot", s, "_q"), width);
+        n.addCell(concat("slot", s, "_reg"), CellKind::Reg, width,
                   {inData, we}, {slotQ});
         slots.push_back(slotQ);
     }

@@ -61,7 +61,7 @@ std::string VerilogEmitter::emit(const Netlist& n) const {
     std::vector<bool> isSequential(n.nets().size(), false);
     for (const auto& c : n.cells()) {
         if (!isCombinational(c.kind)) {
-            isSequential[c.outputs[0]] = true;
+            isSequential[n.outputs(c)[0]] = true;
         }
     }
     for (NetId id = 0; id < n.nets().size(); ++id) {
@@ -87,8 +87,9 @@ std::string VerilogEmitter::emit(const Netlist& n) const {
     out << '\n';
 
     for (const auto& c : n.cells()) {
-        const std::string_view y = wire[c.outputs[0]];
-        const auto in = [&](std::size_t i) { return wire[c.inputs[i]]; };
+        const std::span<const NetId> pins = n.inputs(c);
+        const std::string_view y = wire[n.outputs(c)[0]];
+        const auto in = [&](std::size_t i) { return wire[pins[i]]; };
         switch (c.kind) {
         case CellKind::Const:
             out << "  assign " << y << " = " << c.width << "'d"
@@ -104,7 +105,7 @@ std::string VerilogEmitter::emit(const Netlist& n) const {
         case CellKind::Reg:
             out << "  always @(posedge clk) begin\n"
                 << "    if (rst) " << y << " <= 0;\n";
-            if (c.inputs.size() > 1) {
+            if (pins.size() > 1) {
                 out << "    else if (" << in(1) << " != 0) " << y << " <= " << in(0)
                     << ";\n";
             } else {

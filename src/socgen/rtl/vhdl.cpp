@@ -139,12 +139,13 @@ std::string VhdlEmitter::emit(const Netlist& n) const {
 
     for (const auto& c : n.cells()) {
         const Identifier cell{c.name};
-        const std::string_view y = sig[c.outputs[0]];
+        const std::span<const NetId> pins = n.inputs(c);
+        const std::string_view y = sig[n.outputs(c)[0]];
         const unsigned w = c.width;
         const FromUnsignedOpen open{w};
         const FromUnsignedClose close{w};
         const auto in = [&](std::size_t i) {
-            return AsUnsigned{sig[c.inputs[i]], n.nets()[c.inputs[i]].width};
+            return AsUnsigned{sig[pins[i]], n.nets()[pins[i]].width};
         };
         const auto resizedIn = [&](std::size_t i) { return Resized{in(i), w}; };
         switch (c.kind) {
@@ -171,7 +172,7 @@ std::string VhdlEmitter::emit(const Netlist& n) const {
                 << "      if rst = '1' then\n"
                 << "        " << y << " <= " << open << "to_unsigned(0, " << w << ')'
                 << close << ";\n";
-            if (c.inputs.size() > 1) {
+            if (pins.size() > 1) {
                 out << "      elsif " << in(1) << " /= 0 then\n";
             } else {
                 out << "      else\n";

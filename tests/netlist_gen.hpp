@@ -165,7 +165,7 @@ inline rtl::Netlist randomNetlist(std::uint64_t seed, NetlistGenOptions opt = {}
             ins.push_back(anyNet());
         }
         const NetId out = fresh(w);
-        n.addCell("c" + std::to_string(i), kind, w, std::move(ins), {out});
+        n.addCell("c" + std::to_string(i), kind, w, ins, std::span(&out, 1));
         pool.push_back(out);
     }
 
@@ -205,8 +205,8 @@ inline rtl::Netlist randomNetlist(std::uint64_t seed, NetlistGenOptions opt = {}
         if (rng.below(2) == 0) {
             ins.push_back(anyNet());  // enable
         }
-        n.addCell("reg" + std::to_string(i), CellKind::Reg, regWidths[i], std::move(ins),
-                  {regOuts[i]});
+        n.addCell("reg" + std::to_string(i), CellKind::Reg, regWidths[i], ins,
+                  std::span(&regOuts[i], 1));
     }
 
     for (unsigned i = 0; i < opt.brams; ++i) {
@@ -248,8 +248,8 @@ inline rtl::Netlist randomNetlist(std::uint64_t seed, NetlistGenOptions opt = {}
         for (unsigned k = 0; k < statusCount; ++k) {
             status.push_back(anyNet());
         }
-        n.addCell("fsm" + std::to_string(i), CellKind::Fsm, fsmWidths[i], std::move(status),
-                  {fsmOuts[i]}, static_cast<std::int64_t>(rng.range(2, 16)));
+        n.addCell("fsm" + std::to_string(i), CellKind::Fsm, fsmWidths[i], status,
+                  std::span(&fsmOuts[i], 1), static_cast<std::int64_t>(rng.range(2, 16)));
     }
 
     for (unsigned i = 0; i < opt.outputPorts; ++i) {

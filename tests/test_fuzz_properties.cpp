@@ -307,7 +307,7 @@ TEST_P(NetlistShapeFuzz, CorpusShapesArePresentAndAllConsumersAcceptThem) {
                 continue;
             }
             ++brams;
-            if (++addrUses[cell.inputs.front()] > 1) {
+            if (++addrUses[netlist.inputs(cell).front()] > 1) {
                 sawSharedInputs = true;
             }
         }

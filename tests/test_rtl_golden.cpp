@@ -14,6 +14,7 @@
 #include "socgen/core/flow.hpp"
 #include "socgen/core/parser.hpp"
 #include "socgen/hls/engine.hpp"
+#include "socgen/hls/serialize.hpp"
 #include "socgen/rtl/codegen_emit.hpp"
 #include "socgen/rtl/compiled_program.hpp"
 #include "socgen/rtl/primitives.hpp"
@@ -99,19 +100,12 @@ TEST(Golden, DataflowWrapper) {
     expectGolden("dataflow_tri", r.netlist);
 }
 
-// Digests of the VHDL and Verilog text of full-size designs: every HLS
-// core of the app library (default directives and an unroll=4,
-// optimizer-off variant), the processes and wrappers of both dataflow
-// networks, and the 40-seed random-netlist corpus, which brings in Fsm,
-// BRAM and >64-bit nets. One line per netlist keeps the snapshot small
-// while any change to either emitter's text on these designs fails.
-TEST(Golden, HdlDigests) {
-    std::string lines;
-    const auto record = [&](const std::string& label, const Netlist& netlist) {
-        lines += format("%s vhdl=%s verilog=%s\n", label.c_str(),
-                        digest128(VhdlEmitter{}.emit(netlist)).hex().c_str(),
-                        digest128(VerilogEmitter{}.emit(netlist)).hex().c_str());
-    };
+/// Every full-size HLS result the digest snapshots cover: each core of
+/// the app library (default directives and an unroll=4, optimizer-off
+/// variant), and the processes and wrappers of both dataflow networks,
+/// each with a stable label.
+template <typename Visit>
+void forEachGoldenResult(Visit&& visit) {
     hls::Directives unrolled;
     unrolled.enableOptimizer = false;
     unrolled.unrollFactors = {{"i", 4}, {"idx", 4}};
@@ -129,8 +123,8 @@ TEST(Golden, HdlDigests) {
     const hls::HlsEngine engine;
     for (const auto& [variant, directives] : variants) {
         for (const hls::Kernel& kernel : kernels) {
-            record(format("%s/%s", variant, kernel.name().c_str()),
-                   engine.synthesize(kernel, directives).netlist);
+            visit(format("%s/%s", variant, kernel.name().c_str()),
+                  engine.synthesize(kernel, directives));
         }
         for (const hls::ProcessNetwork& network : networks) {
             std::vector<hls::HlsResult> results;
@@ -139,18 +133,49 @@ TEST(Golden, HdlDigests) {
             for (const hls::Process& p : network.processes()) {
                 results.push_back(engine.synthesize(p.kernel, directives));
                 ptrs.push_back(&results.back());
-                record(format("%s/%s/%s", variant, network.name().c_str(), p.name.c_str()),
-                       results.back().netlist);
+                visit(format("%s/%s/%s", variant, network.name().c_str(), p.name.c_str()),
+                      results.back());
             }
-            record(format("%s/%s", variant, network.name().c_str()),
-                   engine.assembleNetwork(network, ptrs).netlist);
+            visit(format("%s/%s", variant, network.name().c_str()),
+                  engine.assembleNetwork(network, ptrs));
         }
     }
+}
+
+// Digests of the VHDL and Verilog text of every golden HLS result and of
+// the 40-seed random-netlist corpus, which brings in Fsm, BRAM and
+// >64-bit nets. One line per netlist keeps the snapshot small while any
+// change to either emitter's text on these designs fails.
+TEST(Golden, HdlDigests) {
+    std::string lines;
+    const auto record = [&](const std::string& label, const Netlist& netlist) {
+        lines += format("%s vhdl=%s verilog=%s\n", label.c_str(),
+                        digest128(VhdlEmitter{}.emit(netlist)).hex().c_str(),
+                        digest128(VerilogEmitter{}.emit(netlist)).hex().c_str());
+    };
+    forEachGoldenResult([&](const std::string& label, const hls::HlsResult& result) {
+        record(label, result.netlist);
+    });
     for (const std::uint64_t seed : testing::diffSimSeeds()) {
         record(format("rand/%llu", static_cast<unsigned long long>(seed)),
                testing::randomNetlist(seed, testing::sweepOptions(seed)));
     }
     expectMatchesGolden("hdl_digests", ".txt", lines);
+}
+
+// Digests of the artifact codec's bytes for every golden HLS result. The
+// store keys and blobs are these bytes, so a change to the netlist's pin
+// order, its names or the codec re-keys every store; this snapshot makes
+// such a change a reviewed diff. Each payload must also decode and
+// re-encode to itself.
+TEST(Golden, ArtifactDigests) {
+    std::string lines;
+    forEachGoldenResult([&](const std::string& label, const hls::HlsResult& result) {
+        const std::string bytes = hls::encodeHlsResult(result);
+        EXPECT_EQ(hls::encodeHlsResult(hls::decodeHlsResult(bytes)), bytes) << label;
+        lines += format("%s artifact=%s\n", label.c_str(), digest128(bytes).hex().c_str());
+    });
+    expectMatchesGolden("artifact_digests", ".txt", lines);
 }
 
 // The record of a flow run: every published event (kind, stage, detail,
