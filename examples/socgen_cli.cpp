@@ -1,7 +1,7 @@
 // socgen_cli — command-line front end for the flow, the shape a
 // downstream user drives the tool with:
 //
-//   socgen_cli --dsl design.tg [--out DIR] [--dma per-link] [--jobs N]
+//   socgen_cli --dsl design.tg [--out DIR] [--dma shared|per-link]
 //              [--kernels quickstart|otsu|sobel] [--size N] [--report]
 //
 // Parses the textual DSL, runs the full flow against one of the built-in
@@ -13,6 +13,7 @@
 #include "socgen/socgen.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 using namespace socgen;
@@ -29,11 +30,17 @@ void usage(const char* argv0) {
         "1024)\n"
         "  --out DIR           write artifacts under DIR (default: socgen_out)\n"
         "  --dma POLICY        shared | per-link (default: shared)\n"
-        "  --jobs N            parallel HLS jobs (default 1)\n"
         "  --no-synth          stop after integration\n"
         "  --report            print the Markdown flow report to stdout\n"
         "  --verbose           info-level logging of every flow step\n",
         argv0);
+}
+
+/// A malformed option value: name it, print the usage, exit status 2.
+int badValue(const char* argv0, const std::string& option, const char* value) {
+    std::fprintf(stderr, "invalid value for %s: %s\n", option.c_str(), value);
+    usage(argv0);
+    return 2;
 }
 
 hls::KernelLibrary builtinKernels(const std::string& name, std::int64_t size) {
@@ -86,15 +93,23 @@ int main(int argc, char** argv) {
         } else if (arg == "--kernels") {
             kernelsName = next();
         } else if (arg == "--size") {
-            size = std::atoll(next());
+            const char* text = next();
+            char* end = nullptr;
+            size = std::strtoll(text, &end, 10);
+            if (end == text || *end != '\0' || size <= 0) {
+                return badValue(argv[0], arg, text);
+            }
         } else if (arg == "--out") {
             outDir = next();
         } else if (arg == "--dma") {
-            const std::string policy = next();
-            options.dmaPolicy = policy == "per-link" ? soc::DmaPolicy::DmaPerLink
-                                                     : soc::DmaPolicy::SharedDma;
-        } else if (arg == "--jobs") {
-            options.jobs = static_cast<unsigned>(std::atoi(next()));
+            const char* policy = next();
+            if (std::strcmp(policy, "per-link") == 0) {
+                options.dmaPolicy = soc::DmaPolicy::DmaPerLink;
+            } else if (std::strcmp(policy, "shared") == 0) {
+                options.dmaPolicy = soc::DmaPolicy::SharedDma;
+            } else {
+                return badValue(argv[0], arg, policy);
+            }
         } else if (arg == "--no-synth") {
             options.runSynthesis = false;
         } else if (arg == "--report") {

@@ -46,8 +46,8 @@ struct FlowDiagnostics {
     };
 
     /// One row of the per-stage wall-clock table. Every field except
-    /// `hostMs` is deterministic: two runs of the same flow (at any
-    /// `jobs` setting) agree on everything but the measured wall time.
+    /// `hostMs` is deterministic: two runs of the same flow (inline
+    /// or on a scheduler) agree on everything but the measured wall time.
     struct StageOutcome {
         std::string stage;         ///< stage name ("scala", "hls:GAUSS", ...)
         unsigned attempts = 0;     ///< supervised attempts (1 = clean first try)
@@ -89,7 +89,7 @@ struct FlowDiagnostics {
 
     /// Renders the per-node lines, the per-stage table and the flow
     /// summary. With `withHostTimes` false (the default) the output is
-    /// byte-identical across runs and `jobs` settings — the wall-clock
+    /// byte-identical across runs and dispatch modes — the wall-clock
     /// column prints "-"; pass true for the measured milliseconds.
     [[nodiscard]] std::string render(bool withHostTimes = false) const;
 };

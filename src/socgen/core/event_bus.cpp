@@ -4,8 +4,6 @@
 #include "socgen/common/strings.hpp"
 #include "socgen/common/textfile.hpp"
 
-#include <algorithm>
-
 namespace socgen::core {
 
 const char* toString(FlowEventKind kind) {
@@ -146,7 +144,6 @@ void ChromeTraceSubscriber::onEvent(const FlowEvent& event) {
     switch (event.kind) {
     case FlowEventKind::StageBegin:
         openBegins_[event.stage] = event.wallMs;
-        openWorkers_[event.stage] = event.worker;
         break;
     case FlowEventKind::StageCommit:
     case FlowEventKind::StageDegraded:
@@ -157,7 +154,6 @@ void ChromeTraceSubscriber::onEvent(const FlowEvent& event) {
         }
         Span span;
         span.name = event.stage;
-        span.worker = openWorkers_[event.stage];
         span.beginMs = it->second;
         span.endMs = event.wallMs;
         span.outcome = event.kind == FlowEventKind::StageCommit     ? "commit"
@@ -173,25 +169,17 @@ void ChromeTraceSubscriber::onEvent(const FlowEvent& event) {
 }
 
 std::string ChromeTraceSubscriber::renderJson() const {
-    // Stable ordering: spans sorted by begin time, then name, so a serial
-    // run's trace is reproducible.
-    std::vector<Span> sorted = spans_;
-    std::sort(sorted.begin(), sorted.end(), [](const Span& a, const Span& b) {
-        if (a.beginMs != b.beginMs) {
-            return a.beginMs < b.beginMs;
-        }
-        return a.name < b.name;
-    });
+    // Stages run one at a time, so spans_ is already in begin order.
     std::string out = "{\"traceEvents\":[";
     bool first = true;
-    for (const auto& span : sorted) {
+    for (const auto& span : spans_) {
         if (!first) {
             out += ",";
         }
         first = false;
-        out += format("{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%u,"
+        out += format("{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":0,"
                       "\"ts\":%.1f,\"dur\":%.1f,\"args\":{\"outcome\":\"%s\"}}",
-                      span.name.c_str(), span.worker, span.beginMs * 1000.0,
+                      span.name.c_str(), span.beginMs * 1000.0,
                       (span.endMs - span.beginMs) * 1000.0, span.outcome.c_str());
     }
     out += "],\"displayTimeUnit\":\"ms\"}";

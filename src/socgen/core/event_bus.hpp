@@ -19,7 +19,7 @@ namespace socgen::core {
 enum class FlowEventKind {
     FlowBegin,         ///< executor accepted the graph; detail = project
     FlowEnd,           ///< all stages finished (or the flow aborted)
-    StageBegin,        ///< a worker picked the stage up
+    StageBegin,        ///< the stage started
     StageRetry,        ///< a transient failure was absorbed; detail = error
     StageTimeout,      ///< an attempt was abandoned at the deadline
     StageCommit,       ///< stage completed; detail = output digest
@@ -39,7 +39,6 @@ struct FlowEvent {
     std::string stage;        ///< stage name ("" for flow-level events)
     std::string detail;       ///< digest / error text / source, kind-specific
     unsigned attempt = 0;     ///< supervised attempt count at publish time
-    unsigned worker = 0;      ///< executor worker index (0 when serial)
     double toolSeconds = 0.0; ///< simulated tool time (commit events)
     double hostMs = 0.0;      ///< stage wall time (commit/degraded/failed)
     std::uint64_t seq = 0;    ///< bus-assigned publish sequence number
@@ -59,8 +58,10 @@ public:
 
 /// Fan-out bus connecting the stage-graph executor (and stage bodies) to
 /// any number of subscribers. Thread-safe: publish() may be called from
-/// any worker; events are stamped with a sequence number and a wall-clock
-/// offset and delivered synchronously, one at a time.
+/// any thread (a supervised attempt with a deadline runs on its own, a
+/// service flow's stages on a pool thread); events are stamped with a
+/// sequence number and a wall-clock offset and delivered synchronously,
+/// one at a time.
 class FlowEventBus {
 public:
     FlowEventBus();
@@ -87,9 +88,8 @@ public:
 };
 
 /// Bundled subscriber: accumulates the per-stage wall-clock table
-/// (FlowDiagnostics::StageOutcome) keyed by stage name. Event arrival
-/// order is scheduling-dependent; orderedRows() re-imposes the caller's
-/// deterministic stage order so the table is jobs-invariant. Unlike
+/// (FlowDiagnostics::StageOutcome) keyed by stage name; orderedRows()
+/// returns the rows in the caller's stage order. Unlike
 /// delivery, orderedRows() may be called from a stage body mid-run, so
 /// the table guards itself.
 class StageTableSubscriber : public FlowEventSubscriber {
@@ -110,9 +110,8 @@ private:
 
 /// Bundled subscriber: records one complete ("ph":"X") span per stage and
 /// writes a chrome://tracing / Perfetto compatible JSON timeline. The
-/// trace is wall-clock truth — it is the one output that is *meant* to
-/// differ between jobs=1 and jobs=N, showing the overlap the DAG
-/// executor found.
+/// trace is wall-clock truth, the one flow output that differs between
+/// runs; stages run one at a time, so every span is on track 0.
 class ChromeTraceSubscriber : public FlowEventSubscriber {
 public:
     void onEvent(const FlowEvent& event) override;
@@ -126,13 +125,11 @@ public:
 private:
     struct Span {
         std::string name;
-        unsigned worker = 0;
         double beginMs = 0.0;
         double endMs = 0.0;
         std::string outcome;  ///< "commit", "degraded", "failed"
     };
     std::map<std::string, double> openBegins_;  ///< stage -> begin wallMs
-    std::map<std::string, unsigned> openWorkers_;
     std::vector<Span> spans_;
 };
 

@@ -1,6 +1,5 @@
 #include "socgen/core/flow.hpp"
 
-#include "socgen/common/env.hpp"
 #include "socgen/common/error.hpp"
 #include "socgen/common/hash.hpp"
 #include "socgen/common/log.hpp"
@@ -32,7 +31,7 @@ std::optional<hls::HlsResult> HlsCache::find(const std::string& key) const {
         return std::nullopt;
     }
     // By value: a pointer into the map would dangle the moment another
-    // stage inserts concurrently.
+    // flow sharing the cache inserts concurrently.
     return it->second;
 }
 
@@ -50,11 +49,6 @@ Flow::Flow(FlowOptions options, const hls::KernelLibrary& kernels,
            std::shared_ptr<HlsCache> cache)
     : options_(std::move(options)), kernels_(kernels), cache_(std::move(cache)),
       faultHooks_(options_.flowFaults) {
-    // Malformed values (SOCGEN_FLOW_JOBS=4x, =-1, =0) throw a
-    // line-diagnostic Error instead of being silently ignored.
-    if (const std::optional<unsigned> jobs = envUnsigned("SOCGEN_FLOW_JOBS")) {
-        options_.jobs = *jobs;
-    }
     if (options_.sharedStore != nullptr) {
         store_ = options_.sharedStore;
     } else if (!options_.outputDir.empty()) {
@@ -175,7 +169,7 @@ std::string Flow::networkKeyFor(const TgNode& node,
 std::string Flow::flowFingerprint(const std::string& projectName,
                                   const TaskGraph& graph) const {
     // Everything that determines the flow's outputs; fault-injection
-    // hooks, retry policy and `jobs` are deliberately excluded so a
+    // hooks and retry policy are deliberately excluded so a
     // crashed run and its recovery run agree on the fingerprint. The
     // flow builds no RTL simulator, so no simulation setting belongs
     // here (FlowRecovery.FingerprintCoversExactlyTheOutputInputs).
@@ -495,7 +489,6 @@ FlowResult Flow::run(const std::string& projectName, const TaskGraph& graph) {
 
     const auto& nodes = graph.nodes();
     std::vector<FlowDiagnostics::NodeOutcome> outcomes(nodes.size());
-    std::mutex resultMutex;
 
     // ----- The flow, declared as a stage graph. Each stage states its
     // dependencies and splits into a pure supervised `attempt` and a
@@ -557,7 +550,7 @@ FlowResult Flow::run(const std::string& projectName, const TaskGraph& graph) {
                 return attempt();
             },
             .commit =
-                [this, &bus, &resultMutex, &outcome, name, land = std::move(land)](
+                [this, &bus, &outcome, name, land = std::move(land)](
                     std::any&& value, const StageRun& meta) {
                     HlsAttemptOut a = std::any_cast<HlsAttemptOut>(std::move(value));
                     outcome = a;
@@ -582,10 +575,7 @@ FlowResult Flow::run(const std::string& projectName, const TaskGraph& graph) {
                         bus.publish(event);
                     }
                     hlsPersist(a);
-                    {
-                        const std::lock_guard<std::mutex> lock(resultMutex);
-                        land(std::move(a.result));
-                    }
+                    land(std::move(a.result));
                     return StageOutput{a.artifactKey, a.toolSeconds};
                 },
             .absorbFailure = absorbHlsFailure(outcome, std::move(what)),
@@ -593,14 +583,13 @@ FlowResult Flow::run(const std::string& projectName, const TaskGraph& graph) {
         };
     };
 
-    // Per-node HLS: one graph stage per node, all depending only on
-    // "scala", so they fan out across the worker pool. Cached across
-    // architectures and, via the artifact store, across runs and crashes.
+    // Per-node HLS: one graph stage per node, each depending only on
+    // "scala". Cached across architectures and, via the artifact store,
+    // across runs and crashes.
     //
     // A multi-process network node expands instead into one stage per
-    // process ("hls:<node>/<proc>", independent — they fan out across the
-    // pool and, under a service scheduler, across tenants) plus a cheap
-    // assembly stage named "hls:<node>" so every downstream dependency
+    // process ("hls:<node>/<proc>", each its own journal record and
+    // artifact) plus a cheap assembly stage named "hls:<node>" so every downstream dependency
     // (integrate, journaling, diagnostics) is shape-agnostic.
     std::vector<std::vector<std::optional<hls::HlsResult>>> processResults(nodes.size());
     for (std::size_t i = 0; i < nodes.size(); ++i) {
@@ -654,8 +643,8 @@ FlowResult Flow::run(const std::string& projectName, const TaskGraph& graph) {
                 [this, &node, &net, &outcome, &parts = processResults[i]](
                     const StageContext&) -> std::any {
                     // Every process stage finished (committed or absorbed)
-                    // before this attempt — the deps are a happens-before
-                    // edge, like integrate's.
+                    // before this attempt: they precede it in topological
+                    // order, like integrate's inputs.
                     std::vector<const hls::HlsResult*> ptrs;
                     ptrs.reserve(parts.size());
                     for (std::size_t j = 0; j < parts.size(); ++j) {
@@ -670,8 +659,7 @@ FlowResult Flow::run(const std::string& projectName, const TaskGraph& graph) {
                     return engine_.assembleNetwork(net, ptrs);
                 },
             .commit =
-                [&node, &outcome, &result, &resultMutex, networkKey](std::any&& value,
-                                                                     const StageRun&) {
+                [&node, &outcome, &result, networkKey](std::any&& value, const StageRun&) {
                     hls::HlsResult assembled = std::any_cast<hls::HlsResult>(std::move(value));
                     outcome.artifactKey = networkKey;
                     bool allCache = !outcome.processes.empty();
@@ -692,11 +680,8 @@ FlowResult Flow::run(const std::string& projectName, const TaskGraph& graph) {
                     outcome.resumedFromJournal = outcome.storeHit && allJournal;
                     const double assemblySeconds = assembled.toolSeconds;
                     outcome.toolSeconds += assemblySeconds;
-                    {
-                        const std::lock_guard<std::mutex> lock(resultMutex);
-                        result.programs.emplace(node.name, assembled.program);
-                        result.hlsResults.emplace(node.name, std::move(assembled));
-                    }
+                    result.programs.emplace(node.name, assembled.program);
+                    result.hlsResults.emplace(node.name, std::move(assembled));
                     return StageOutput{networkKey, assemblySeconds};
                 },
             .absorbFailure = absorbHlsFailure(outcome, "node " + node.name),
@@ -775,12 +760,12 @@ FlowResult Flow::run(const std::string& projectName, const TaskGraph& graph) {
         });
     }
 
-    // Software generation rides alongside synthesis: the device tree and
-    // the drivers need only the integrated design, so they overlap the
-    // (long) synth stage; boot packaging waits for both inputs.
+    // Software generation does not wait on synthesis: the device tree
+    // and the drivers need only the integrated design; boot packaging
+    // waits for both inputs.
     if (options_.generateSoftware) {
-        // `result.design` is written by integrate's commit, which
-        // happens-before every dependent attempt runs.
+        // `result.design` is written by integrate's commit, which runs
+        // before every dependent stage.
         const auto deviceTreeToolSeconds = [&result] {
             return 2.5 + 0.3 * static_cast<double>(result.design.lites().size());
         };
@@ -876,7 +861,6 @@ FlowResult Flow::run(const std::string& projectName, const TaskGraph& graph) {
 
     // ----- Execute.
     ExecutorConfig config;
-    config.jobs = std::max(1u, options_.jobs);
     config.stagePolicy = options_.stagePolicy;
     config.journal = journal.has_value() ? &*journal : nullptr;
     config.scheduler = options_.stageScheduler.get();

@@ -33,8 +33,9 @@ namespace socgen::core {
 /// persistent ArtifactStore — a digest of (kernel source, directives,
 /// device, tool version) — so a lookup can never return a result
 /// synthesized under different directives or for a different part.
-/// Thread-safe: find() returns a copy, never a pointer into the map, so
-/// a hit stays valid while concurrent stages insert.
+/// Thread-safe, since flows on other threads may share one cache:
+/// find() returns a copy, never a pointer into the map, so a hit stays
+/// valid while another flow inserts.
 class HlsCache {
 public:
     [[nodiscard]] std::optional<hls::HlsResult> find(const std::string& key) const;
@@ -57,11 +58,6 @@ enum class HlsFailurePolicy { Abort, Degrade };
 struct FlowOptions {
     soc::FpgaDevice device = soc::zedboard();
     soc::DmaPolicy dmaPolicy = soc::DmaPolicy::SharedDma;
-    /// Worker threads over the whole stage graph: per-node HLS runs AND
-    /// independent downstream stages (device tree / drivers alongside
-    /// synthesis) execute concurrently. Overridable via the
-    /// SOCGEN_FLOW_JOBS environment variable.
-    unsigned jobs = 1;
     bool runSynthesis = true;     ///< stop after integration when false
     bool generateSoftware = true;
     std::string outputDir;        ///< write artifacts when non-empty
@@ -92,7 +88,7 @@ struct FlowOptions {
     sim::FaultPlan flowFaults;
 
     /// Write a chrome://tracing / Perfetto JSON timeline of the stage
-    /// graph here when non-empty (one span per stage, worker as tid).
+    /// graph here when non-empty (one span per stage).
     std::string traceOutPath;
 
     /// Model the external vendor tools' wall-clock cost: each stage
@@ -100,8 +96,8 @@ struct FlowOptions {
     /// milliseconds, standing in for the subprocess wait (a real Vivado
     /// run is minutes of blocked wall-clock, not host CPU). Reused HLS
     /// artifacts never wait — a cache or store hit means the tool never
-    /// ran. 0 disables the wait; like `jobs`, the knob is excluded from
-    /// the flow fingerprint because it cannot change any output.
+    /// ran. 0 disables the wait; the knob is excluded from the flow
+    /// fingerprint because it cannot change any output.
     double toolLatencyMsPerToolSecond = 0.0;
 
     /// Extra event-bus subscribers attached for the run, after the
@@ -120,10 +116,9 @@ struct FlowOptions {
     /// nullptr disables gating (single-flow runs need none).
     std::shared_ptr<SynthGate> synthGate;
 
-    /// External stage scheduler: when set, the executor submits ready
-    /// stages to it instead of spawning a private worker pool and
-    /// `jobs` is ignored — the service's shared pool owns concurrency
-    /// and cross-tenant fairness.
+    /// External stage scheduler: when set, each stage runs on a thread
+    /// it picks (the service's shared pool, fair across tenants); the
+    /// flow still runs its stages one at a time, in order.
     std::shared_ptr<StageScheduler> stageScheduler;
 };
 
@@ -149,12 +144,12 @@ struct FlowResult {
 /// integration, synthesis/bitstream, and software generation — the
 /// right-hand side of the paper's Figure 3 — declared as a stage graph
 /// and executed by the generic StageGraphExecutor, which owns journaling,
-/// supervision, fault hooks, event publication and the worker pool.
+/// supervision, fault hooks and event publication.
 ///
 /// The graph: scala → hls:<node> (one stage per node) → integrate →
-/// {synth, devicetree, drivers} in parallel → boot(synth, devicetree) →
-/// artifacts. `jobs` governs concurrency across the whole graph, not
-/// just the HLS fan-out.
+/// {synth, devicetree, drivers} → boot(synth, devicetree) → artifacts.
+/// The graph states what depends on what; the run is serial, one stage
+/// at a time in topological order.
 ///
 /// Crash recovery: when `outputDir` is set, the flow keeps a journal
 /// (`outputDir/.socgen/journal/<project>.jsonl`) recording each stage's

@@ -14,7 +14,7 @@ namespace socgen::core {
 /// stage's output digest on commit (and the flow fingerprint on the
 /// header record). Records are deliberately wall-clock-free so two runs
 /// of the same flow produce byte-identical journals regardless of
-/// machine speed or `jobs` setting.
+/// machine speed or the thread the stages ran on.
 struct JournalRecord {
     std::uint64_t seq = 0;
     std::string event;

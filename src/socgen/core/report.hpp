@@ -13,7 +13,7 @@ namespace socgen::core {
 /// and the list of generated artifacts. The flow writes it as REPORT.md
 /// next to the other project outputs. No column holds host times or
 /// attempt counts, so two runs that reuse the same results write the
-/// same bytes at any `jobs` setting.
+/// same bytes.
 [[nodiscard]] std::string renderFlowReport(
     const FlowResult& result, const std::vector<FlowDiagnostics::StageOutcome>& stages);
 

@@ -6,7 +6,8 @@
 #include "socgen/common/strings.hpp"
 
 #include <atomic>
-#include <condition_variable>
+#include <future>
+#include <memory>
 #include <thread>
 
 namespace socgen::core {
@@ -152,40 +153,17 @@ bool StageFaultHooks::empty() const {
 // ---------------------------------------------------------------------------
 // StageGraphExecutor
 
-struct StageGraphExecutor::RunState {
-    const StageGraph* graph = nullptr;
-    std::vector<std::size_t> topo;            ///< rank -> stage index
-    std::vector<std::size_t> rankOf;          ///< stage index -> rank
-    std::vector<std::size_t> remainingDeps;
-    std::vector<std::vector<std::size_t>> dependents;
-    std::vector<StageExecution> executions;
-
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::vector<char> completed;
-    std::vector<char> scheduled;
-    std::size_t completedCount = 0;
-    std::size_t flushedPrefix = 0;            ///< topo ranks journal-flushed
-    std::size_t tasksInFlight = 0;            ///< external-scheduler mode only
-    bool aborted = false;
-    std::exception_ptr firstError;
-    std::size_t firstErrorRank = 0;
-};
-
 StageGraphExecutor::StageGraphExecutor(ExecutorConfig config, FlowEventBus* bus,
                                        StageFaultHooks* hooks)
     : config_(std::move(config)), bus_(bus), hooks_(hooks) {}
 
-void StageGraphExecutor::runStage(RunState& state, std::size_t index, unsigned worker) {
-    const Stage& stage = state.graph->stages()[index];
-    StageExecution& exec = state.executions[index];
+std::exception_ptr StageGraphExecutor::runStage(const Stage& stage, StageExecution& exec) {
     exec.ran = true;
 
     if (bus_ != nullptr) {
         FlowEvent event;
         event.kind = FlowEventKind::StageBegin;
         event.stage = stage.name;
-        event.worker = worker;
         bus_->publish(std::move(event));
     }
 
@@ -247,7 +225,6 @@ void StageGraphExecutor::runStage(RunState& state, std::size_t index, unsigned w
         }
     }
 
-    const std::lock_guard<std::mutex> lock(state.mutex);
     exec.meta = meta;
     exec.hostMs = hostMs;
     stats_.stageTimeouts += static_cast<std::size_t>(meta.timeouts);
@@ -271,15 +248,7 @@ void StageGraphExecutor::runStage(RunState& state, std::size_t index, unsigned w
             }
             bus_->publish(std::move(event));
         }
-        // Keep the error of the lowest-ranked failing stage so the flow
-        // rethrows deterministically even when siblings fail in parallel.
-        if (state.firstError == nullptr || state.rankOf[index] < state.firstErrorRank) {
-            state.firstError = error;
-            state.firstErrorRank = state.rankOf[index];
-        }
-        state.aborted = true;
-        state.cv.notify_all();
-        return;
+        return error;
     }
 
     if (error != nullptr) {
@@ -307,214 +276,100 @@ void StageGraphExecutor::runStage(RunState& state, std::size_t index, unsigned w
             bus_->publish(std::move(event));
         }
     }
-
-    state.completed[index] = 1;
-    ++state.completedCount;
-    for (const std::size_t dependent : state.dependents[index]) {
-        --state.remainingDeps[dependent];
-    }
-    flushCommitted(state);
-    state.cv.notify_all();
+    return nullptr;
 }
 
-void StageGraphExecutor::flushCommitted(RunState& state) {
-    // Journal discipline: commit (and degrade-note) records land in
-    // topological order over the longest fully-completed prefix, under the
-    // scheduler lock. The journal's bytes are therefore a function of the
-    // graph and its outcomes alone — never of worker scheduling. A crash
-    // can only lose trailing commits, which the next run re-derives from
-    // the content-addressed store.
-    while (state.flushedPrefix < state.topo.size()) {
-        const std::size_t index = state.topo[state.flushedPrefix];
-        if (!state.completed[index]) {
-            return;
+void StageGraphExecutor::record(const Stage& stage, const StageExecution& exec) {
+    if (exec.absorbed) {
+        if (config_.journal != nullptr) {
+            config_.journal->noteEvent(stage.name, exec.absorbedNote);
         }
-        const Stage& stage = state.graph->stages()[index];
-        const StageExecution& exec = state.executions[index];
-        if (exec.absorbed) {
-            if (config_.journal != nullptr) {
-                config_.journal->noteEvent(stage.name, exec.absorbedNote);
+    } else {
+        const auto it = config_.digestsAtOpen.find(stage.name);
+        if (it != config_.digestsAtOpen.end()) {
+            // The stage was committed by a previous run; re-executing it
+            // must reproduce the same output (the flow is deterministic).
+            if (stage.trackResume) {
+                ++stats_.resumedStages;
             }
-        } else {
-            const auto it = config_.digestsAtOpen.find(stage.name);
-            if (it != config_.digestsAtOpen.end()) {
-                // The stage was committed by a previous run; re-executing
-                // it must reproduce the same output (the flow is
-                // deterministic).
-                if (stage.trackResume) {
-                    ++stats_.resumedStages;
-                }
-                if (it->second != exec.output.digest) {
-                    ++stats_.digestMismatches;
-                    if (bus_ != nullptr) {
-                        FlowEvent event;
-                        event.kind = FlowEventKind::DigestMismatch;
-                        event.stage = stage.name;
-                        event.detail = "recomputed output differs from the journal's "
-                                       "committed digest";
-                        bus_->publish(std::move(event));
-                    }
+            if (it->second != exec.output.digest) {
+                ++stats_.digestMismatches;
+                if (bus_ != nullptr) {
+                    FlowEvent event;
+                    event.kind = FlowEventKind::DigestMismatch;
+                    event.stage = stage.name;
+                    event.detail = "recomputed output differs from the journal's "
+                                   "committed digest";
+                    bus_->publish(std::move(event));
                 }
             }
-            if (config_.journal != nullptr && !exec.output.digest.empty()) {
-                config_.journal->commit(stage.name, exec.output.digest);
-            }
         }
-        if (stage.postCommit) {
-            stage.postCommit();
+        if (config_.journal != nullptr && !exec.output.digest.empty()) {
+            config_.journal->commit(stage.name, exec.output.digest);
         }
-        ++state.flushedPrefix;
     }
-}
-
-void StageGraphExecutor::submitReady(RunState& state) {
-    // Caller holds state.mutex. Ready stages go to the external scheduler
-    // in topological order; the scheduler owns when and where they run.
-    // tasksInFlight is incremented before submit and decremented as the
-    // task's final locked action, so execute()'s wait on it proves no
-    // task can still touch `state` after execute() returns.
-    if (state.aborted) {
-        return;
-    }
-    for (std::size_t rank = 0; rank < state.topo.size(); ++rank) {
-        const std::size_t index = state.topo[rank];
-        if (state.scheduled[index] || state.remainingDeps[index] != 0) {
-            continue;
-        }
-        state.scheduled[index] = 1;
-        ++state.tasksInFlight;
-        config_.scheduler->submit([this, &state, index] {
-            bool skip = false;
-            {
-                const std::lock_guard<std::mutex> lock(state.mutex);
-                skip = state.aborted;
-            }
-            if (!skip) {
-                runStage(state, index, 0);
-            }
-            const std::lock_guard<std::mutex> lock(state.mutex);
-            --state.tasksInFlight;
-            submitReady(state);
-            state.cv.notify_all();
-        });
+    if (stage.postCommit) {
+        stage.postCommit();
     }
 }
 
 std::vector<StageExecution> StageGraphExecutor::execute(const StageGraph& graph) {
-    RunState state;
-    state.graph = &graph;
-    state.topo = graph.topologicalOrder();
-    const std::size_t n = graph.stages().size();
-    state.rankOf.assign(n, 0);
-    for (std::size_t rank = 0; rank < state.topo.size(); ++rank) {
-        state.rankOf[state.topo[rank]] = rank;
-    }
-    state.remainingDeps.assign(n, 0);
-    state.dependents.assign(n, {});
-    std::map<std::string, std::size_t> byName;
-    for (std::size_t i = 0; i < n; ++i) {
-        byName.emplace(graph.stages()[i].name, i);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        for (const std::string& dep : graph.stages()[i].deps) {
-            state.dependents[byName.at(dep)].push_back(i);
-            ++state.remainingDeps[i];
-        }
-    }
-    state.executions.assign(n, {});
-    state.completed.assign(n, 0);
-    state.scheduled.assign(n, 0);
+    const std::vector<std::size_t> order = graph.topologicalOrder();
+    std::vector<StageExecution> executions(graph.stages().size());
     stats_ = {};
 
     if (bus_ != nullptr) {
         FlowEvent event;
         event.kind = FlowEventKind::FlowBegin;
-        event.detail = format("%zu stages, jobs=%u", n, config_.jobs);
+        event.detail = format("%zu stages", order.size());
         bus_->publish(std::move(event));
     }
 
     // Write-ahead discipline: every begin record lands before any stage
     // starts work, in topological order, so the journal prefix identifies
-    // the run's shape regardless of scheduling.
+    // the run's shape.
     if (config_.journal != nullptr) {
-        for (const std::size_t index : state.topo) {
+        for (const std::size_t index : order) {
             config_.journal->begin(graph.stages()[index].name);
         }
     }
 
-    const unsigned jobs = config_.jobs < 1 ? 1 : config_.jobs;
-    if (config_.scheduler != nullptr && n > 0) {
-        // Shared-pool mode: ready stages are handed to the external
-        // scheduler (one pool, many flows); this thread only tracks
-        // completion. A task that observes `aborted` before running
-        // skips its stage but still decrements tasksInFlight, so the
-        // wait below terminates on both success and failure.
-        std::unique_lock<std::mutex> lock(state.mutex);
-        submitReady(state);
-        state.cv.wait(lock, [&state, n] {
-            return state.tasksInFlight == 0 &&
-                   (state.aborted || state.completedCount == n);
-        });
-    } else if (jobs == 1 || n <= 1) {
-        // Serial path: exact topological order, no worker threads — the
-        // crash-recovery semantics of the historical sequential flow.
-        for (std::size_t rank = 0; rank < state.topo.size(); ++rank) {
-            {
-                const std::lock_guard<std::mutex> lock(state.mutex);
-                if (state.aborted) {
-                    break;
-                }
+    std::exception_ptr error;
+    for (const std::size_t index : order) {
+        const Stage& stage = graph.stages()[index];
+        StageExecution& exec = executions[index];
+        if (config_.scheduler == nullptr) {
+            error = runStage(stage, exec);
+        } else {
+            // The scheduler picks the thread; this one waits for the
+            // stage before it sends the next. A task the scheduler drops
+            // unrun breaks the promise, which fails the flow.
+            auto task = std::make_shared<std::packaged_task<std::exception_ptr()>>(
+                [this, &stage, &exec] { return runStage(stage, exec); });
+            std::future<std::exception_ptr> finished = task->get_future();
+            config_.scheduler->submit([task = std::move(task)] { (*task)(); });
+            try {
+                error = finished.get();
+            } catch (...) {
+                error = std::current_exception();
             }
-            runStage(state, state.topo[rank], 0);
         }
-    } else {
-        const auto workerLoop = [this, &state, n](unsigned workerId) {
-            std::unique_lock<std::mutex> lock(state.mutex);
-            while (true) {
-                std::size_t pick = n;
-                if (!state.aborted) {
-                    for (std::size_t rank = 0; rank < state.topo.size(); ++rank) {
-                        const std::size_t index = state.topo[rank];
-                        if (!state.scheduled[index] && state.remainingDeps[index] == 0) {
-                            pick = index;
-                            break;
-                        }
-                    }
-                }
-                if (pick == n) {
-                    if (state.aborted || state.completedCount == n) {
-                        return;
-                    }
-                    state.cv.wait(lock);
-                    continue;
-                }
-                state.scheduled[pick] = 1;
-                lock.unlock();
-                runStage(state, pick, workerId);
-                lock.lock();
-            }
-        };
-        const unsigned threadCount = std::min<unsigned>(jobs, static_cast<unsigned>(n));
-        std::vector<std::thread> pool;
-        pool.reserve(threadCount);
-        for (unsigned t = 0; t < threadCount; ++t) {
-            pool.emplace_back(workerLoop, t);
+        if (error != nullptr) {
+            break;
         }
-        for (auto& thread : pool) {
-            thread.join();
-        }
+        record(stage, exec);
     }
 
     if (bus_ != nullptr) {
         FlowEvent event;
         event.kind = FlowEventKind::FlowEnd;
-        event.detail = state.firstError == nullptr ? "ok" : "failed";
+        event.detail = error == nullptr ? "ok" : "failed";
         bus_->publish(std::move(event));
     }
-    if (state.firstError != nullptr) {
-        std::rethrow_exception(state.firstError);
+    if (error != nullptr) {
+        std::rethrow_exception(error);
     }
-    return std::move(state.executions);
+    return executions;
 }
 
 } // namespace socgen::core

@@ -7,6 +7,7 @@
 
 #include <any>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -35,8 +36,8 @@ struct StageOutput {
 ///    execute concurrently with an abandoned sibling of itself, so it
 ///    must not mutate shared state — compute and return.
 ///  - `commit` runs exactly once, on the winning attempt's value, and is
-///    where results land in shared structures (the executor establishes
-///    a happens-before edge to every dependent stage).
+///    where results land in shared structures (stages run one at a
+///    time, so a commit needs no lock against other stages).
 ///
 /// `absorbFailure`, when set, may convert a post-retry failure into a
 /// completed-without-commit stage (returning a non-empty journal note);
@@ -105,12 +106,14 @@ private:
     std::vector<sim::FaultEvent> pending_;
 };
 
-/// Sink for ready-to-run stage tasks, letting many executors — one per
-/// concurrently running flow — share a single worker pool (the
-/// flow-service deployment). submit() must eventually run the task
-/// exactly once on some thread; the submitting executor blocks in
-/// execute() until every task it submitted has finished, so a scheduler
-/// must drain on shutdown, never drop.
+/// Where a flow's stages run when the flow does not run them on its own
+/// thread: the flow service points every tenant's flows at one shared
+/// pool. submit() must eventually run the task exactly once on some
+/// thread. The executor submits one stage, waits for it to finish, then
+/// submits the next, so a scheduler picks only the thread; it never runs
+/// two stages of one flow at once. A dropped task fails the flow (the
+/// waiting executor sees a broken promise), so a scheduler must drain on
+/// shutdown.
 class StageScheduler {
 public:
     virtual ~StageScheduler() = default;
@@ -118,15 +121,13 @@ public:
 };
 
 struct ExecutorConfig {
-    unsigned jobs = 1;              ///< worker threads over the whole graph
     StagePolicy stagePolicy;        ///< retry/backoff/deadline per stage
     FlowJournal* journal = nullptr; ///< nullable: journaling off
-    /// External scheduler: when set, ready stages are submitted here
-    /// instead of a private worker pool and `jobs` is ignored — the
-    /// scheduler owns concurrency (and fairness across flows).
+    /// When set, each stage runs on a thread this scheduler picks instead
+    /// of the caller's; the stages still run one at a time, in order.
     StageScheduler* scheduler = nullptr;
     /// Digests committed by a previous run (journal resume): re-executed
-    /// stages are verified against these at commit-flush time.
+    /// stages are verified against these as they commit.
     std::map<std::string, std::string> digestsAtOpen;
 };
 
@@ -149,19 +150,16 @@ struct StageExecution {
 };
 
 /// Generic DAG executor owning — once, not per stage — journaling,
-/// supervision, fault hooks, event publication and the worker pool.
+/// supervision, fault hooks and event publication.
 ///
-/// Execution contract:
+/// Execution contract (serial):
 ///  - `begin` journal records for every stage land up front, in
 ///    topological order (write-ahead), before any stage runs;
-///  - any stage whose dependencies completed may run; with jobs=1 the
-///    execution order is exactly the topological order;
-///  - commit records are flushed in topological order over the longest
-///    completed prefix, so the final journal is byte-identical for any
-///    `jobs` setting (a crash can only lose trailing commits, which the
-///    next run re-derives from the artifact store);
-///  - the first error (lowest topological rank) aborts scheduling,
-///    already-running stages finish, and the error is rethrown.
+///  - the stages then run one at a time in topologicalOrder(), each
+///    commit record appended as soon as its stage finishes, so a crash
+///    can only lose the commits of stages that had not finished;
+///  - the first unabsorbed error stops the run: no later stage starts,
+///    and the error is rethrown.
 class StageGraphExecutor {
 public:
     StageGraphExecutor(ExecutorConfig config, FlowEventBus* bus,
@@ -174,13 +172,12 @@ public:
     [[nodiscard]] const ExecutorStats& stats() const { return stats_; }
 
 private:
-    struct RunState;
-
-    void runStage(RunState& state, std::size_t index, unsigned worker);
-    void flushCommitted(RunState& state);
-    /// Submits every unscheduled ready stage to the external scheduler
-    /// (caller holds state.mutex; external-pool mode only).
-    void submitReady(RunState& state);
+    /// Runs one stage under supervision and publishes its outcome.
+    /// Returns the error that stops the flow, or nullptr.
+    std::exception_ptr runStage(const Stage& stage, StageExecution& exec);
+    /// Journals a finished stage (commit or degrade note), verifies a
+    /// resumed stage's digest, then runs its postCommit hook.
+    void record(const Stage& stage, const StageExecution& exec);
 
     ExecutorConfig config_;
     FlowEventBus* bus_;

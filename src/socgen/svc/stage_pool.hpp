@@ -21,12 +21,14 @@ namespace socgen::svc {
 /// that tags its submissions; dispatch picks the eligible tenant with
 /// the smallest virtual time, so a tenant of weight 2 gets twice the
 /// stage throughput of a weight-1 tenant under contention — and an idle
-/// tenant's unused share is redistributed rather than wasted.
+/// tenant's unused share is redistributed rather than wasted. A flow
+/// submits one stage at a time, so a tenant's stages in flight belong
+/// to different flows.
 ///
 /// Per-tenant isolation knobs:
 ///  - weight: WFQ share under contention;
 ///  - maxInFlightStages: hard cap on a tenant's concurrently *running*
-///    stages, so one tenant's wide HLS fan-out cannot occupy every
+///    stages, so one tenant's many concurrent flows cannot occupy every
 ///    worker no matter its weight.
 ///
 /// Stage queues are deliberately unbounded: the StageScheduler contract

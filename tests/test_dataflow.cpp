@@ -589,23 +589,6 @@ object bad extends App {
     }
 }
 
-TEST(NetworkFlow, JobsParityBitIdentical) {
-    std::vector<std::string> digests;
-    std::vector<std::string> renders;
-    for (const unsigned jobs : {1u, 4u}) {
-        core::FlowOptions options;
-        options.jobs = jobs;
-        const hls::KernelLibrary kernels = pipelineKernels();
-        core::Flow flow(options, kernels);
-        const core::FlowResult result =
-            flow.run("dataflow_jobs", pipelineGraph());
-        digests.push_back(digest128(result.bitstream.serialize()).hex());
-        renders.push_back(result.diagnostics.render());
-    }
-    EXPECT_EQ(digests[0], digests[1]);
-    EXPECT_EQ(renders[0], renders[1]);
-}
-
 /// Fault injection by node name must take the whole network down: every
 /// process attempt fails, and with the Degrade policy the node (not the
 /// flow) reports the failure, per-process records included.

@@ -305,32 +305,81 @@ TEST(FlowRecovery, StageHangHitsDeadlineAndRetries) {
 }
 
 // ---------------------------------------------------------------------------
-// Journal parity: jobs=4 must leave the same journal and the same
-// per-node diagnostics as jobs=1 even under injected failures.
+// Dispatch parity: a flow whose stages run on a scheduler's thread must
+// leave the same journal and the same per-node diagnostics as one that
+// runs them inline, even under injected failures.
 
-TEST(FlowRecovery, ParallelJobsLeaveIdenticalJournalAndDiagnostics) {
+/// Stage scheduler with one worker thread (the service's shared pool in
+/// miniature).
+class OneWorkerScheduler : public StageScheduler {
+public:
+    OneWorkerScheduler() : thread_([this] { loop(); }) {}
+    ~OneWorkerScheduler() override {
+        {
+            const std::lock_guard<std::mutex> lock(mutex_);
+            done_ = true;
+        }
+        cv_.notify_all();
+        thread_.join();
+    }
+    OneWorkerScheduler(const OneWorkerScheduler&) = delete;
+    OneWorkerScheduler& operator=(const OneWorkerScheduler&) = delete;
+
+    void submit(std::function<void()> task) override {
+        {
+            const std::lock_guard<std::mutex> lock(mutex_);
+            queue_.push_back(std::move(task));
+        }
+        cv_.notify_all();
+    }
+
+private:
+    void loop() {
+        std::unique_lock<std::mutex> lock(mutex_);
+        while (true) {
+            cv_.wait(lock, [this] { return done_ || !queue_.empty(); });
+            if (queue_.empty()) {
+                return;
+            }
+            std::function<void()> task = std::move(queue_.front());
+            queue_.pop_front();
+            lock.unlock();
+            task();
+            lock.lock();
+        }
+    }
+
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    std::deque<std::function<void()>> queue_;
+    bool done_ = false;
+    std::thread thread_;
+};
+
+TEST(FlowRecovery, SchedulerDispatchLeavesIdenticalJournalAndDiagnostics) {
     const hls::KernelLibrary kernels = exampleKernels();
-    const std::string dirSerial = freshDir("jobs1");
-    const std::string dirParallel = freshDir("jobs4");
-    const auto runWith = [&](const std::string& dir, unsigned jobs) {
+    const std::string dirInline = freshDir("inline");
+    const std::string dirScheduled = freshDir("scheduled");
+    const auto runWith = [&](const std::string& dir,
+                             std::shared_ptr<StageScheduler> scheduler) {
         FlowOptions options;
         options.outputDir = dir;
-        options.jobs = jobs;
+        options.stageScheduler = std::move(scheduler);
         options.transientHlsFailures["EDGE"] = 1;
         return Flow(options, kernels).run("proj", quickstartGraph());
     };
-    const FlowResult serial = runWith(dirSerial, 1);
-    const FlowResult parallel = runWith(dirParallel, 4);
+    const FlowResult inlined = runWith(dirInline, nullptr);
+    const FlowResult scheduled = runWith(dirScheduled, std::make_shared<OneWorkerScheduler>());
 
-    const FlowJournal journalSerial = FlowJournal::open(journalPathOf(dirSerial));
-    const FlowJournal journalParallel = FlowJournal::open(journalPathOf(dirParallel));
-    EXPECT_EQ(journalSerial.renderText(), journalParallel.renderText());
-    EXPECT_FALSE(journalSerial.renderText().empty());
+    const FlowJournal journalInline = FlowJournal::open(journalPathOf(dirInline));
+    const FlowJournal journalScheduled = FlowJournal::open(journalPathOf(dirScheduled));
+    EXPECT_EQ(journalInline.renderText(), journalScheduled.renderText());
+    EXPECT_FALSE(journalInline.renderText().empty());
 
-    ASSERT_EQ(serial.diagnostics.nodes.size(), parallel.diagnostics.nodes.size());
-    for (std::size_t i = 0; i < serial.diagnostics.nodes.size(); ++i) {
-        const auto& a = serial.diagnostics.nodes[i];
-        const auto& b = parallel.diagnostics.nodes[i];
+    ASSERT_EQ(inlined.diagnostics.nodes.size(), scheduled.diagnostics.nodes.size());
+    for (std::size_t i = 0; i < inlined.diagnostics.nodes.size(); ++i) {
+        const auto& a = inlined.diagnostics.nodes[i];
+        const auto& b = scheduled.diagnostics.nodes[i];
         EXPECT_EQ(a.node, b.node);
         EXPECT_EQ(a.degraded, b.degraded);
         EXPECT_EQ(a.attempts, b.attempts);
@@ -339,16 +388,16 @@ TEST(FlowRecovery, ParallelJobsLeaveIdenticalJournalAndDiagnostics) {
         EXPECT_EQ(a.artifactKey, b.artifactKey);
         EXPECT_DOUBLE_EQ(a.toolSeconds, b.toolSeconds);
     }
-    EXPECT_EQ(serial.diagnostics.render(), parallel.diagnostics.render());
-    EXPECT_EQ(serial.bitstream.serialize(), parallel.bitstream.serialize());
+    EXPECT_EQ(inlined.diagnostics.render(), scheduled.diagnostics.render());
+    EXPECT_EQ(inlined.bitstream.serialize(), scheduled.bitstream.serialize());
 
     // The per-stage table agrees field by field (hostMs is the only
     // non-deterministic column and is deliberately excluded).
-    ASSERT_EQ(serial.diagnostics.stages.size(), parallel.diagnostics.stages.size());
-    ASSERT_FALSE(serial.diagnostics.stages.empty());
-    for (std::size_t i = 0; i < serial.diagnostics.stages.size(); ++i) {
-        const auto& a = serial.diagnostics.stages[i];
-        const auto& b = parallel.diagnostics.stages[i];
+    ASSERT_EQ(inlined.diagnostics.stages.size(), scheduled.diagnostics.stages.size());
+    ASSERT_FALSE(inlined.diagnostics.stages.empty());
+    for (std::size_t i = 0; i < inlined.diagnostics.stages.size(); ++i) {
+        const auto& a = inlined.diagnostics.stages[i];
+        const auto& b = scheduled.diagnostics.stages[i];
         EXPECT_EQ(a.stage, b.stage);
         EXPECT_EQ(a.attempts, b.attempts);
         EXPECT_EQ(a.timeouts, b.timeouts);
@@ -358,7 +407,7 @@ TEST(FlowRecovery, ParallelJobsLeaveIdenticalJournalAndDiagnostics) {
     }
 
     // Every written artifact, REPORT.md included, is byte-identical
-    // across jobs settings.
+    // across dispatch modes.
     const auto artifactBytes = [](const std::string& dir) {
         std::map<std::string, std::string> files;
         const std::filesystem::path root = std::filesystem::path(dir) / "proj";
@@ -374,11 +423,11 @@ TEST(FlowRecovery, ParallelJobsLeaveIdenticalJournalAndDiagnostics) {
         }
         return files;
     };
-    const auto filesSerial = artifactBytes(dirSerial);
-    EXPECT_FALSE(filesSerial.empty());
-    EXPECT_EQ(filesSerial, artifactBytes(dirParallel));
-    std::filesystem::remove_all(dirSerial);
-    std::filesystem::remove_all(dirParallel);
+    const auto filesInline = artifactBytes(dirInline);
+    EXPECT_FALSE(filesInline.empty());
+    EXPECT_EQ(filesInline, artifactBytes(dirScheduled));
+    std::filesystem::remove_all(dirInline);
+    std::filesystem::remove_all(dirScheduled);
 }
 
 // ---------------------------------------------------------------------------
@@ -457,7 +506,7 @@ constexpr std::size_t aggregateFieldCount() {
     }
 }
 
-static_assert(aggregateFieldCount<FlowOptions>() == 20,
+static_assert(aggregateFieldCount<FlowOptions>() == 19,
               "classify the new FlowOptions field in the fingerprint table");
 static_assert(aggregateFieldCount<soc::FpgaDevice>() == 7,
               "classify the new FpgaDevice field in the fingerprint table");
@@ -494,53 +543,6 @@ FlowSnapshot snapshotFlow(const FlowOptions& options, const std::string& dir) {
     }
     return snap;
 }
-
-/// Stage scheduler with one worker thread (the service's shared pool in
-/// miniature).
-class OneWorkerScheduler : public StageScheduler {
-public:
-    OneWorkerScheduler() : thread_([this] { loop(); }) {}
-    ~OneWorkerScheduler() override {
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            done_ = true;
-        }
-        cv_.notify_all();
-        thread_.join();
-    }
-    OneWorkerScheduler(const OneWorkerScheduler&) = delete;
-    OneWorkerScheduler& operator=(const OneWorkerScheduler&) = delete;
-
-    void submit(std::function<void()> task) override {
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            queue_.push_back(std::move(task));
-        }
-        cv_.notify_all();
-    }
-
-private:
-    void loop() {
-        std::unique_lock<std::mutex> lock(mutex_);
-        while (true) {
-            cv_.wait(lock, [this] { return done_ || !queue_.empty(); });
-            if (queue_.empty()) {
-                return;
-            }
-            std::function<void()> task = std::move(queue_.front());
-            queue_.pop_front();
-            lock.unlock();
-            task();
-            lock.lock();
-        }
-    }
-
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    std::deque<std::function<void()>> queue_;
-    bool done_ = false;
-    std::thread thread_;
-};
 
 class NullSubscriber : public FlowEventSubscriber {
 public:
@@ -587,7 +589,6 @@ TEST(FlowRecovery, FingerprintCoversExactlyTheOutputInputs) {
          [](FlowOptions& o) { o.toolVersion = "socgen-hls-2"; }},
         // Every row already runs in its own directory.
         {"outputDir", FieldClass::Neither, [](FlowOptions&) {}},
-        {"jobs", FieldClass::Neither, [](FlowOptions& o) { o.jobs = 4; }},
         {"stagePolicy", FieldClass::Neither,
          [](FlowOptions& o) {
              o.stagePolicy.maxAttempts = 5;

@@ -28,7 +28,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -194,35 +193,7 @@ private:
     std::string lines_;
 };
 
-/// Saves an environment variable, unsets it, and restores it on scope
-/// exit (copy of the diff-sim helper; the suites are independent binaries).
-class EnvGuard {
-public:
-    explicit EnvGuard(const char* name) : name_(name) {
-        if (const char* value = std::getenv(name)) {
-            saved_ = value;
-        }
-        ::unsetenv(name);
-    }
-    ~EnvGuard() {
-        if (saved_.has_value()) {
-            ::setenv(name_, saved_->c_str(), 1);
-        } else {
-            ::unsetenv(name_);
-        }
-    }
-    EnvGuard(const EnvGuard&) = delete;
-    EnvGuard& operator=(const EnvGuard&) = delete;
-
-private:
-    const char* name_;
-    std::optional<std::string> saved_;
-};
-
 TEST(Golden, FlowRecord) {
-    // jobs=1 is part of the record (the flow-begin line and the serial
-    // stage order), so the SOCGEN_FLOW_JOBS override is lifted for the run.
-    const EnvGuard serialFlow("SOCGEN_FLOW_JOBS");
     hls::KernelLibrary kernels;
     kernels.add(apps::makeMulKernel());
     kernels.add(apps::makeGaussKernel(64));
@@ -250,7 +221,6 @@ object mixed extends App {
     std::filesystem::remove_all(dir);
     const auto recorder = std::make_shared<EventRecorder>();
     core::FlowOptions options;
-    options.jobs = 1;
     options.outputDir = dir;
     options.injectHlsFailures = {"triStagePipe/stage1"};
     options.subscribers = {recorder};

@@ -1,22 +1,20 @@
 // Unit tests of the declarative stage-graph engine (CTest label:
 // stage-graph): graph validation, deterministic topological ordering, the
-// executor's scheduling/retry/absorb semantics, journal byte-parity
-// across jobs settings, and real cross-stage parallelism.
+// executor's retry/absorb semantics, and its serial run, inline or on an
+// external scheduler's threads.
 
 #include "socgen/common/error.hpp"
-#include "socgen/core/flow.hpp"
-#include "socgen/core/journal.hpp"
 #include "socgen/core/stage_graph.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
-#include <filesystem>
 #include <functional>
+#include <future>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -229,102 +227,6 @@ TEST(StageGraphExecutorTest, TransientFailureRetriesWithEvents) {
 }
 
 // ---------------------------------------------------------------------------
-// Journal byte-parity and parallelism
-
-std::string journalTextFor(unsigned jobs, const std::string& dir) {
-    std::filesystem::remove_all(dir);
-    FlowJournal journal = FlowJournal::open(dir + "/journal.jsonl");
-    journal.reset("fingerprint", "test");
-    StageGraph graph;
-    graph.add(simpleStage("root", {}, "d-root"));
-    graph.add(simpleStage("left", {"root"}, "d-left"));
-    graph.add(simpleStage("right", {"root"}, "d-right"));
-    graph.add(simpleStage("leaf", {"left", "right"}, "d-leaf"));
-    // A sleep on one branch skews completion order away from topological
-    // order under jobs>1; the journal must not notice.
-    Stage slow = simpleStage("slow", {"root"}, "d-slow");
-    slow.attempt = [](const StageContext&) -> std::any {
-        std::this_thread::sleep_for(std::chrono::milliseconds(30));
-        return std::any{};
-    };
-    graph.add(std::move(slow));
-
-    ExecutorConfig config;
-    config.jobs = jobs;
-    config.journal = &journal;
-    StageGraphExecutor executor(config, nullptr, nullptr);
-    (void)executor.execute(graph);
-    std::string text = FlowJournal::open(dir + "/journal.jsonl").renderText();
-    std::filesystem::remove_all(dir);
-    return text;
-}
-
-TEST(StageGraphExecutorTest, JournalIsByteIdenticalForAnyJobsSetting) {
-    const std::string base = testing::TempDir() + "/socgen_stage_graph_journal_";
-    const std::string serial = journalTextFor(1, base + "serial");
-    EXPECT_FALSE(serial.empty());
-    EXPECT_EQ(serial, journalTextFor(4, base + "jobs4"));
-    EXPECT_EQ(serial, journalTextFor(2, base + "jobs2"));
-}
-
-TEST(StageGraphExecutorTest, IndependentStagesOverlapWithJobs) {
-    StageGraph graph;
-    std::atomic<int> inFlight{0};
-    std::atomic<int> peak{0};
-    const auto sleeper = [&](const StageContext&) -> std::any {
-        const int now = inFlight.fetch_add(1) + 1;
-        int expected = peak.load();
-        while (now > expected && !peak.compare_exchange_weak(expected, now)) {
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(60));
-        inFlight.fetch_sub(1);
-        return std::any{};
-    };
-    for (const char* name : {"a", "b", "c"}) {
-        Stage stage = simpleStage(name, {});
-        stage.attempt = sleeper;
-        graph.add(std::move(stage));
-    }
-
-    ExecutorConfig config;
-    config.jobs = 3;
-    StageGraphExecutor executor(config, nullptr, nullptr);
-    const auto start = std::chrono::steady_clock::now();
-    (void)executor.execute(graph);
-    const double elapsedMs = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - start)
-                                 .count();
-    EXPECT_GE(peak.load(), 2);        // genuinely concurrent
-    EXPECT_LT(elapsedMs, 3 * 60.0);   // faster than the serial sum
-}
-
-// ---------------------------------------------------------------------------
-// Environment override
-
-TEST(StageGraphExecutorTest, FlowJobsEnvironmentOverrideIsApplied) {
-    const hls::KernelLibrary kernels;
-    ASSERT_EQ(::setenv("SOCGEN_FLOW_JOBS", "4", 1), 0);
-    const Flow overridden(FlowOptions{}, kernels);
-    EXPECT_EQ(overridden.options().jobs, 4u);
-    // A malformed override is a hard, named error — not a silent
-    // fallback to serial that hides the typo.
-    for (const char* bad : {"not-a-number", "4x", "0", "99999999999"}) {
-        ASSERT_EQ(::setenv("SOCGEN_FLOW_JOBS", bad, 1), 0);
-        try {
-            const Flow rejected(FlowOptions{}, kernels);
-            FAIL() << "accepted SOCGEN_FLOW_JOBS='" << bad << "'";
-        } catch (const Error& e) {
-            EXPECT_NE(std::string(e.what()).find("SOCGEN_FLOW_JOBS"),
-                      std::string::npos)
-                << e.what();
-        }
-    }
-    ASSERT_EQ(::unsetenv("SOCGEN_FLOW_JOBS"), 0);
-    const Flow plain(FlowOptions{}, kernels);
-    EXPECT_EQ(plain.options().jobs, 1u);
-}
-
-// ---------------------------------------------------------------------------
 // StageSupervisor: backoff jitter and the retry wall-clock cap
 
 TEST(StageSupervisorPolicy, BackoffJitterIsDeterministicAndDecorrelated) {
@@ -400,54 +302,60 @@ TEST(StageSupervisorPolicy, RetryWallClockCapBoundsTotalRetryTime) {
 }
 
 // ---------------------------------------------------------------------------
-// External scheduler mode: the executor's tasks run wherever submit()
-// puts them, dependency order still holds, and execute() returns only
-// when every submitted task has drained.
+// External scheduler mode: each stage runs on a thread the scheduler
+// picks, but the executor still sends one stage at a time, in
+// topological order, and waits for it.
+
+/// Minimal conforming scheduler: `workers` threads over one FIFO queue.
+class TestPool : public StageScheduler {
+public:
+    explicit TestPool(unsigned workers) {
+        for (unsigned i = 0; i < workers; ++i) {
+            threads_.emplace_back([this] { loop(); });
+        }
+    }
+    ~TestPool() override {
+        {
+            const std::lock_guard<std::mutex> lock(mutex_);
+            done_ = true;
+        }
+        cv_.notify_all();
+        for (std::thread& thread : threads_) {
+            thread.join();
+        }
+    }
+    void submit(std::function<void()> task) override {
+        {
+            const std::lock_guard<std::mutex> lock(mutex_);
+            queue_.push_back(std::move(task));
+        }
+        cv_.notify_all();
+    }
+
+private:
+    void loop() {
+        std::unique_lock<std::mutex> lock(mutex_);
+        while (true) {
+            cv_.wait(lock, [this] { return done_ || !queue_.empty(); });
+            if (queue_.empty()) {
+                return;
+            }
+            std::function<void()> task = std::move(queue_.front());
+            queue_.pop_front();
+            lock.unlock();
+            task();
+            lock.lock();
+        }
+    }
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    std::deque<std::function<void()>> queue_;
+    bool done_ = false;
+    std::vector<std::thread> threads_;
+};
 
 TEST(StageGraphExecutorTest, ExternalSchedulerRunsAllStagesInOrder) {
-    /// Minimal conforming scheduler: one worker thread, FIFO queue.
-    class OneWorker : public StageScheduler {
-    public:
-        OneWorker() : thread_([this] { loop(); }) {}
-        ~OneWorker() override {
-            {
-                const std::lock_guard<std::mutex> lock(mutex_);
-                done_ = true;
-            }
-            cv_.notify_all();
-            thread_.join();
-        }
-        void submit(std::function<void()> task) override {
-            {
-                const std::lock_guard<std::mutex> lock(mutex_);
-                queue_.push_back(std::move(task));
-            }
-            cv_.notify_all();
-        }
-
-    private:
-        void loop() {
-            std::unique_lock<std::mutex> lock(mutex_);
-            while (true) {
-                cv_.wait(lock, [this] { return done_ || !queue_.empty(); });
-                if (queue_.empty()) {
-                    return;
-                }
-                std::function<void()> task = std::move(queue_.front());
-                queue_.pop_front();
-                lock.unlock();
-                task();
-                lock.lock();
-            }
-        }
-        std::mutex mutex_;
-        std::condition_variable cv_;
-        std::deque<std::function<void()>> queue_;
-        bool done_ = false;
-        std::thread thread_;
-    };
-
-    OneWorker scheduler;
+    TestPool scheduler(1);
     std::vector<std::string> order;
     std::mutex orderMutex;
     StageGraph graph;
@@ -464,7 +372,6 @@ TEST(StageGraphExecutorTest, ExternalSchedulerRunsAllStagesInOrder) {
     }
     ExecutorConfig config;
     config.scheduler = &scheduler;
-    config.jobs = 17;  // ignored: the scheduler owns concurrency
     StageGraphExecutor executor(config, nullptr, nullptr);
     const auto executions = executor.execute(graph);
     EXPECT_EQ(executions.size(), 3u);
@@ -481,6 +388,57 @@ TEST(StageGraphExecutorTest, ExternalSchedulerRunsAllStagesInOrder) {
     failing.add(simpleStage("never", {"bad"}));
     StageGraphExecutor failingExecutor(config, nullptr, nullptr);
     EXPECT_THROW((void)failingExecutor.execute(failing), DslError);
+}
+
+TEST(StageGraphExecutorTest, SchedulerWithTwoWorkersStillRunsOneStageAtATime) {
+    // Three independent siblings and a join: a scheduler with a free
+    // second worker must still see one stage at a time, in topological
+    // order, because the flow sends the next stage only when the last
+    // one finished.
+    TestPool scheduler(2);
+    std::mutex mutex;
+    std::vector<std::string> order;
+    int inFlight = 0;
+    int peak = 0;
+    StageGraph graph;
+    for (const char* name : {"left", "middle", "right", "join"}) {
+        Stage stage = simpleStage(name, name == std::string("join")
+                                            ? std::vector<std::string>{"left", "middle",
+                                                                       "right"}
+                                            : std::vector<std::string>{});
+        stage.attempt = [&, name](const StageContext&) -> std::any {
+            {
+                const std::lock_guard<std::mutex> lock(mutex);
+                order.emplace_back(name);
+                peak = std::max(peak, ++inFlight);
+            }
+            // Long enough for a second worker to pick up a sibling if
+            // one had been sent.
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            const std::lock_guard<std::mutex> lock(mutex);
+            --inFlight;
+            return std::any{};
+        };
+        graph.add(std::move(stage));
+    }
+    ExecutorConfig config;
+    config.scheduler = &scheduler;
+    StageGraphExecutor executor(config, nullptr, nullptr);
+    (void)executor.execute(graph);
+    EXPECT_EQ(peak, 1);
+    EXPECT_EQ(order, graph.topologicalNames());
+}
+
+TEST(StageGraphExecutorTest, TaskDroppedBySchedulerFailsTheFlow) {
+    struct Dropping : StageScheduler {
+        void submit(std::function<void()>) override {}
+    } scheduler;
+    StageGraph graph;
+    graph.add(simpleStage("lost", {}));
+    ExecutorConfig config;
+    config.scheduler = &scheduler;
+    StageGraphExecutor executor(config, nullptr, nullptr);
+    EXPECT_THROW((void)executor.execute(graph), std::future_error);
 }
 
 } // namespace
