@@ -7,8 +7,6 @@
 #include "netlist_gen.hpp"
 #include "socgen/apps/kernels.hpp"
 #include "socgen/apps/otsu_project.hpp"
-#include "socgen/rtl/codegen_emit.hpp"
-#include "socgen/rtl/codegen_sim.hpp"
 #include "socgen/rtl/netlist_sim.hpp"
 #include "socgen/rtl/primitives.hpp"
 #include "socgen/rtl/sim_backend.hpp"
@@ -16,24 +14,14 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-#include <filesystem>
-
 using namespace socgen;
 
 namespace {
 
-/// Benchmarks taking a backend argument register with ->Arg(0) (event),
-/// ->Arg(1) (compiled) and ->Arg(2) (codegen) so one binary reports all
-/// three side by side. Codegen rows degrade (with the usual fallback
-/// warning) when the host has no compiler; the emitted label names the
-/// backend that actually ran.
+/// Benchmarks taking a backend argument register with ->Arg(0) (event)
+/// and ->Arg(1) (compiled) so one binary reports both side by side.
 rtl::SimBackend benchBackend(std::int64_t arg) {
-    switch (arg) {
-    case 0: return rtl::SimBackend::EventDriven;
-    case 2: return rtl::SimBackend::Codegen;
-    default: return rtl::SimBackend::Compiled;
-    }
+    return arg == 0 ? rtl::SimBackend::EventDriven : rtl::SimBackend::Compiled;
 }
 
 /// The shared random design for the backend comparison: the same seed
@@ -81,7 +69,7 @@ void BM_SimBackendCounterStep(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
     state.SetLabel(std::string(sim->backendName()));
 }
-BENCHMARK(BM_SimBackendCounterStep)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SimBackendCounterStep)->Arg(0)->Arg(1);
 
 void BM_SimBackendRandomActive(benchmark::State& state) {
     // Every input port changes every cycle: the worst case for dirty
@@ -99,7 +87,7 @@ void BM_SimBackendRandomActive(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
     state.SetLabel(std::string(sim->backendName()));
 }
-BENCHMARK(BM_SimBackendRandomActive)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SimBackendRandomActive)->Arg(0)->Arg(1);
 
 void BM_SimBackendRandomQuiescent(benchmark::State& state) {
     // Inputs held constant: only the sequential feedback region stays
@@ -117,7 +105,7 @@ void BM_SimBackendRandomQuiescent(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
     state.SetLabel(std::string(sim->backendName()));
 }
-BENCHMARK(BM_SimBackendRandomQuiescent)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SimBackendRandomQuiescent)->Arg(0)->Arg(1);
 
 void BM_SimBackendHlsHistogramCore(benchmark::State& state) {
     // A generated accelerator under steady streaming stimulus — the
@@ -142,62 +130,7 @@ void BM_SimBackendHlsHistogramCore(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
     state.SetLabel(std::string(sim->backendName()));
 }
-BENCHMARK(BM_SimBackendHlsHistogramCore)->Arg(0)->Arg(1)->Arg(2);
-
-// ---------------------------------------------------------------------------
-// Codegen setup cost: what a flow pays *before* the fast steady state.
-// Cold = emit + host-compiler invocation + dlopen (first-ever run);
-// warm = shared-object store hit + dlopen (every later process). The
-// `recompiles` counter on the warm row is the acceptance gate: it must
-// stay 0, i.e. warm flows never invoke the compiler.
-// ---------------------------------------------------------------------------
-
-void BM_CodegenSetupCold(benchmark::State& state) {
-    if (!rtl::codegenToolchainAvailable()) {
-        state.SkipWithError("no host compiler");
-        return;
-    }
-    const std::string cacheDir =
-        (std::filesystem::temp_directory_path() / "socgen-bench-codegen-cold").string();
-    ::setenv("SOCGEN_CODEGEN_CACHE_DIR", cacheDir.c_str(), 1);
-    const rtl::Netlist netlist = benchRandomNetlist();
-    for (auto _ : state) {
-        std::filesystem::remove_all(cacheDir);
-        rtl::codegenTestReset();
-        const rtl::CodegenSim sim(netlist);
-        benchmark::DoNotOptimize(sim.cycleCount());
-    }
-    state.counters["recompiles_per_iter"] =
-        static_cast<double>(rtl::codegenStats().compiles);
-    std::filesystem::remove_all(cacheDir);
-    ::unsetenv("SOCGEN_CODEGEN_CACHE_DIR");
-}
-BENCHMARK(BM_CodegenSetupCold)->Unit(benchmark::kMillisecond);
-
-void BM_CodegenSetupWarm(benchmark::State& state) {
-    if (!rtl::codegenToolchainAvailable()) {
-        state.SkipWithError("no host compiler");
-        return;
-    }
-    const std::string cacheDir =
-        (std::filesystem::temp_directory_path() / "socgen-bench-codegen-warm").string();
-    ::setenv("SOCGEN_CODEGEN_CACHE_DIR", cacheDir.c_str(), 1);
-    const rtl::Netlist netlist = benchRandomNetlist();
-    std::filesystem::remove_all(cacheDir);
-    rtl::codegenTestReset();
-    { const rtl::CodegenSim prime(netlist); }  // populate the store
-    std::uint64_t recompiles = 0;
-    for (auto _ : state) {
-        rtl::codegenTestReset();  // drop the in-process registry: store path
-        const rtl::CodegenSim sim(netlist);
-        recompiles += rtl::codegenStats().compiles;
-        benchmark::DoNotOptimize(sim.cycleCount());
-    }
-    state.counters["recompiles"] = static_cast<double>(recompiles);
-    std::filesystem::remove_all(cacheDir);
-    ::unsetenv("SOCGEN_CODEGEN_CACHE_DIR");
-}
-BENCHMARK(BM_CodegenSetupWarm)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimBackendHlsHistogramCore)->Arg(0)->Arg(1);
 
 void BM_KernelVmGaussCycle(benchmark::State& state) {
     const hls::Kernel kernel = apps::makeGaussKernel(1 << 20);

@@ -123,14 +123,6 @@ public:
         : ArtifactError("corrupt: " + message) {}
 };
 
-/// Raised by common::Subprocess on spawn/IO/wait failures (fork failed,
-/// exec failed, pipe error).
-class SubprocessError : public Error {
-public:
-    explicit SubprocessError(const std::string& message)
-        : Error("subprocess: " + message) {}
-};
-
 /// Raised by the stage-graph engine on a malformed flow graph: duplicate
 /// stage names, dependencies on unknown stages, or dependency cycles.
 /// Always a socgen (or embedding) bug, never transient — the graph shape

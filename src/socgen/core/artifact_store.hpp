@@ -1,11 +1,13 @@
 #pragma once
 
-#include "socgen/common/blob_store.hpp"
 #include "socgen/hls/serialize.hpp"
 #include "socgen/soc/device.hpp"
 
+#include <cstddef>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace socgen::core {
@@ -17,11 +19,10 @@ namespace socgen::core {
 /// device, and tool version — so a stale hit is impossible by
 /// construction: change any input and the key changes.
 ///
-/// The bytes-on-disk machinery (sharded layout, atomic writes, digest
-/// verification, quarantine, temp reclamation, flat-object migration)
-/// lives in the generic socgen::BlobStore; this class layers the
-/// HlsResult codec and key derivation on top of it. The on-disk format
-/// is unchanged from before the split.
+/// Layout: objects are sharded git-style across digest-prefix
+/// directories (`objects/<first-2-hex>/<key>.art`, up to 256 shards).
+/// Each object is a text header (the `SOCGENART1` magic line, a payload
+/// digest line, a key line) followed by the encoded HlsResult.
 ///
 /// Durability contract:
 ///  - writes are atomic (temp file + rename), so a crash mid-store leaves
@@ -49,7 +50,11 @@ public:
                                                std::string_view toolVersion);
 
     /// Validation diagnostics for one load.
-    using LoadDiag = BlobStore::LoadDiag;
+    struct LoadDiag {
+        std::string whyMiss;        ///< "" for a plain miss, else the reason
+        bool quarantined = false;   ///< the object was moved to quarantine/
+        std::string quarantinePath; ///< where it went (forensics)
+    };
 
     /// Loads and validates the object under `key`. Returns nullopt on
     /// miss or on any validation failure (bad magic, digest mismatch,
@@ -82,11 +87,19 @@ public:
 
     /// Walks every shard and validates every object; corrupt objects are
     /// quarantined. Self-healing pass run by the flow service at open.
-    using ScrubReport = BlobStore::ScrubReport;
+    struct ScrubReport {
+        std::size_t scanned = 0;
+        /// (key, reason) for every object quarantined by this pass.
+        std::vector<std::pair<std::string, std::string>> quarantined;
+    };
     [[nodiscard]] ScrubReport scrub() const;
 
     /// One quarantined object (this store instance's lifetime).
-    using QuarantineRecord = BlobStore::QuarantineRecord;
+    struct QuarantineRecord {
+        std::string key;
+        std::string reason;
+        std::string quarantinePath;
+    };
     [[nodiscard]] std::size_t quarantinedObjects() const;
     [[nodiscard]] std::vector<QuarantineRecord> quarantineRecords() const;
 
@@ -99,20 +112,32 @@ public:
     void removeObject(const std::string& key) const;
 
     /// Orphaned temporaries reclaimed when this store was opened.
-    [[nodiscard]] std::size_t reclaimedTempFiles() const {
-        return blobs_.reclaimedTempFiles();
-    }
+    [[nodiscard]] std::size_t reclaimedTempFiles() const { return reclaimedTempFiles_; }
 
     /// Flat legacy objects moved into shard directories at open.
-    [[nodiscard]] std::size_t migratedObjects() const { return blobs_.migratedObjects(); }
+    [[nodiscard]] std::size_t migratedObjects() const { return migratedObjects_; }
 
-    [[nodiscard]] const std::string& root() const { return blobs_.root(); }
+    [[nodiscard]] const std::string& root() const { return root_; }
 
     /// Digest-prefix length of the shard layout (hex characters).
-    static constexpr std::size_t kShardPrefixLen = BlobStore::kShardPrefixLen;
+    static constexpr std::size_t kShardPrefixLen = 2;
 
 private:
-    BlobStore blobs_;
+    [[nodiscard]] std::string objectPath(const std::string& key) const;
+    /// Reads and frame-checks the object under `key`: its payload, or
+    /// nullopt on a miss or a validation failure (which quarantines it).
+    [[nodiscard]] std::optional<std::string> loadPayload(const std::string& key,
+                                                         LoadDiag& diag) const;
+    /// Moves the object under `key` into quarantine and records it.
+    void quarantineObject(const std::string& key, const std::string& reason,
+                          LoadDiag& diag) const;
+
+    std::string root_;
+    std::size_t reclaimedTempFiles_ = 0;
+    std::size_t migratedObjects_ = 0;
+
+    mutable std::mutex mutex_;
+    mutable std::vector<QuarantineRecord> quarantineLog_;
 };
 
 } // namespace socgen::core

@@ -174,9 +174,19 @@ std::string Flow::flowFingerprint(const std::string& projectName,
     // flow builds no RTL simulator, so no simulation setting belongs
     // here (FlowRecovery.FingerprintCoversExactlyTheOutputInputs).
     HashStream h;
-    h.field("socgen-flow-v6");
+    h.field("socgen-flow-v7");
     h.field(projectName);
     h.field(graph.renderDsl(projectName));
+    // Each node's kernel sources: a changed kernel body must reset the
+    // journal, not resume it and then disagree with its commits. A node
+    // the library lacks hashes a marker; its stage reports the error.
+    for (const TgNode& node : graph.nodes()) {
+        if (kernels_.has(node.name)) {
+            h.field(hls::fingerprintNetwork(kernels_.network(node.name)).hex());
+        } else {
+            h.field(std::string_view("no-kernel"));
+        }
+    }
     h.field(options_.device.part).field(options_.device.board);
     h.field(options_.device.lut).field(options_.device.ff);
     h.field(options_.device.bram18).field(options_.device.dsp);

@@ -157,9 +157,7 @@ StageGraphExecutor::StageGraphExecutor(ExecutorConfig config, FlowEventBus* bus,
                                        StageFaultHooks* hooks)
     : config_(std::move(config)), bus_(bus), hooks_(hooks) {}
 
-std::exception_ptr StageGraphExecutor::runStage(const Stage& stage, StageExecution& exec) {
-    exec.ran = true;
-
+std::exception_ptr StageGraphExecutor::runStage(const Stage& stage, Finished& done) {
     if (bus_ != nullptr) {
         FlowEvent event;
         event.kind = FlowEventKind::StageBegin;
@@ -225,8 +223,6 @@ std::exception_ptr StageGraphExecutor::runStage(const Stage& stage, StageExecuti
         }
     }
 
-    exec.meta = meta;
-    exec.hostMs = hostMs;
     stats_.stageTimeouts += static_cast<std::size_t>(meta.timeouts);
     if (meta.attempts > 1) {
         stats_.stageRetries += static_cast<std::size_t>(meta.attempts - 1);
@@ -252,8 +248,7 @@ std::exception_ptr StageGraphExecutor::runStage(const Stage& stage, StageExecuti
     }
 
     if (error != nullptr) {
-        exec.absorbed = true;
-        exec.absorbedNote = absorbedNote;
+        done.absorbedNote = absorbedNote;
         if (bus_ != nullptr) {
             FlowEvent event;
             event.kind = FlowEventKind::StageDegraded;
@@ -264,14 +259,14 @@ std::exception_ptr StageGraphExecutor::runStage(const Stage& stage, StageExecuti
             bus_->publish(std::move(event));
         }
     } else {
-        exec.output = std::move(output);
+        done.output = std::move(output);
         if (bus_ != nullptr) {
             FlowEvent event;
             event.kind = FlowEventKind::StageCommit;
             event.stage = stage.name;
-            event.detail = exec.output.digest;
+            event.detail = done.output.digest;
             event.attempt = static_cast<unsigned>(meta.attempts);
-            event.toolSeconds = exec.output.toolSeconds;
+            event.toolSeconds = done.output.toolSeconds;
             event.hostMs = hostMs;
             bus_->publish(std::move(event));
         }
@@ -279,10 +274,10 @@ std::exception_ptr StageGraphExecutor::runStage(const Stage& stage, StageExecuti
     return nullptr;
 }
 
-void StageGraphExecutor::record(const Stage& stage, const StageExecution& exec) {
-    if (exec.absorbed) {
+void StageGraphExecutor::record(const Stage& stage, const Finished& done) {
+    if (!done.absorbedNote.empty()) {
         if (config_.journal != nullptr) {
-            config_.journal->noteEvent(stage.name, exec.absorbedNote);
+            config_.journal->noteEvent(stage.name, done.absorbedNote);
         }
     } else {
         const auto it = config_.digestsAtOpen.find(stage.name);
@@ -292,7 +287,7 @@ void StageGraphExecutor::record(const Stage& stage, const StageExecution& exec) 
             if (stage.trackResume) {
                 ++stats_.resumedStages;
             }
-            if (it->second != exec.output.digest) {
+            if (it->second != done.output.digest) {
                 ++stats_.digestMismatches;
                 if (bus_ != nullptr) {
                     FlowEvent event;
@@ -304,8 +299,8 @@ void StageGraphExecutor::record(const Stage& stage, const StageExecution& exec) 
                 }
             }
         }
-        if (config_.journal != nullptr && !exec.output.digest.empty()) {
-            config_.journal->commit(stage.name, exec.output.digest);
+        if (config_.journal != nullptr && !done.output.digest.empty()) {
+            config_.journal->commit(stage.name, done.output.digest);
         }
     }
     if (stage.postCommit) {
@@ -313,9 +308,8 @@ void StageGraphExecutor::record(const Stage& stage, const StageExecution& exec) 
     }
 }
 
-std::vector<StageExecution> StageGraphExecutor::execute(const StageGraph& graph) {
+void StageGraphExecutor::execute(const StageGraph& graph) {
     const std::vector<std::size_t> order = graph.topologicalOrder();
-    std::vector<StageExecution> executions(graph.stages().size());
     stats_ = {};
 
     if (bus_ != nullptr) {
@@ -337,15 +331,15 @@ std::vector<StageExecution> StageGraphExecutor::execute(const StageGraph& graph)
     std::exception_ptr error;
     for (const std::size_t index : order) {
         const Stage& stage = graph.stages()[index];
-        StageExecution& exec = executions[index];
+        Finished done;
         if (config_.scheduler == nullptr) {
-            error = runStage(stage, exec);
+            error = runStage(stage, done);
         } else {
             // The scheduler picks the thread; this one waits for the
             // stage before it sends the next. A task the scheduler drops
             // unrun breaks the promise, which fails the flow.
             auto task = std::make_shared<std::packaged_task<std::exception_ptr()>>(
-                [this, &stage, &exec] { return runStage(stage, exec); });
+                [this, &stage, &done] { return runStage(stage, done); });
             std::future<std::exception_ptr> finished = task->get_future();
             config_.scheduler->submit([task = std::move(task)] { (*task)(); });
             try {
@@ -357,7 +351,7 @@ std::vector<StageExecution> StageGraphExecutor::execute(const StageGraph& graph)
         if (error != nullptr) {
             break;
         }
-        record(stage, exec);
+        record(stage, done);
     }
 
     if (bus_ != nullptr) {
@@ -369,7 +363,6 @@ std::vector<StageExecution> StageGraphExecutor::execute(const StageGraph& graph)
     if (error != nullptr) {
         std::rethrow_exception(error);
     }
-    return executions;
 }
 
 } // namespace socgen::core

@@ -139,16 +139,6 @@ struct ExecutorStats {
     std::size_t digestMismatches = 0;
 };
 
-/// Result record of one stage's execution.
-struct StageExecution {
-    StageOutput output;
-    double hostMs = 0.0;
-    StageRun meta;
-    bool ran = false;       ///< stage reached execution (false = flow aborted first)
-    bool absorbed = false;  ///< failure absorbed; `absorbedNote` journaled
-    std::string absorbedNote;
-};
-
 /// Generic DAG executor owning — once, not per stage — journaling,
 /// supervision, fault hooks and event publication.
 ///
@@ -165,19 +155,25 @@ public:
     StageGraphExecutor(ExecutorConfig config, FlowEventBus* bus,
                        StageFaultHooks* hooks);
 
-    /// Runs the graph; returns one StageExecution per graph stage
-    /// (indexed like graph.stages()). Throws the first stage error.
-    std::vector<StageExecution> execute(const StageGraph& graph);
+    /// Runs the graph; each stage's outcome reaches the event bus.
+    /// Throws the first stage error.
+    void execute(const StageGraph& graph);
 
     [[nodiscard]] const ExecutorStats& stats() const { return stats_; }
 
 private:
+    /// What a finished stage leaves for record().
+    struct Finished {
+        StageOutput output;
+        std::string absorbedNote;  ///< non-empty: failure absorbed, note journaled
+    };
+
     /// Runs one stage under supervision and publishes its outcome.
     /// Returns the error that stops the flow, or nullptr.
-    std::exception_ptr runStage(const Stage& stage, StageExecution& exec);
+    std::exception_ptr runStage(const Stage& stage, Finished& done);
     /// Journals a finished stage (commit or degrade note), verifies a
     /// resumed stage's digest, then runs its postCommit hook.
-    void record(const Stage& stage, const StageExecution& exec);
+    void record(const Stage& stage, const Finished& done);
 
     ExecutorConfig config_;
     FlowEventBus* bus_;

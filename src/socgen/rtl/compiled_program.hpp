@@ -51,9 +51,7 @@ struct PortNameHash {
 };
 
 /// The immutable result of levelizing one Netlist: a linear evaluation
-/// program over a flat value array. Shared by both compiled executors —
-/// CompiledSim interprets it and CodegenSim emits it as C++ — so
-/// compiling once pins the evaluation semantics for both.
+/// program over a flat value array, which CompiledSim interprets.
 struct CompiledProgram {
     std::vector<CompiledOp> ops;                ///< sorted by level
     std::vector<std::uint32_t> opLevel;         ///< level of each op

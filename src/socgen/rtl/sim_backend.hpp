@@ -3,9 +3,7 @@
 #include "socgen/rtl/netlist.hpp"
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -15,48 +13,15 @@ namespace socgen::rtl {
 ///
 ///  - EventDriven: the original two-phase interpreter (NetlistSimulator).
 ///    Walks the cell tables every cycle; slow but simple — the oracle
-///    the other engines are checked against.
-///  - Compiled: the levelized backend (CompiledSim). The netlist is
-///    compiled once into a linear evaluation program over a flat value
-///    array; quiescent subgraphs are skipped via dirty tracking.
-///  - Codegen: the generated-C++ backend (CodegenSim). The levelized
-///    program is emitted as a C++ translation unit, compiled by the
-///    host toolchain, and dlopened; requires a usable compiler and
-///    degrades Codegen → Compiled via makeSimulator (see DESIGN.md §15).
-///  - Auto: the SOCGEN_SIM_BACKEND override when set, otherwise
-///    Compiled (DESIGN.md §10). Codegen is opt-in so a plain run never
-///    pays a host-compiler invocation unasked.
-enum class SimBackend { Auto, EventDriven, Compiled, Codegen };
+///    the compiled engine is checked against.
+///  - Compiled: the levelized backend (CompiledSim), the default. The
+///    netlist is compiled once into a linear evaluation program over a
+///    flat value array; quiescent subgraphs are skipped via dirty
+///    tracking.
+enum class SimBackend { EventDriven, Compiled };
 
+/// "event" or "compiled", matching Simulator::backendName().
 [[nodiscard]] std::string_view simBackendName(SimBackend backend);
-
-/// Parses "auto" / "event" / "compiled" / "codegen" (also accepts
-/// "event-driven"); throws socgen::Error on anything else.
-[[nodiscard]] SimBackend simBackendFromString(std::string_view text);
-
-/// Resolves the SOCGEN_SIM_BACKEND environment override: returns the
-/// parsed env value when the variable is set and non-empty, otherwise
-/// `fallback`. Throws socgen::Error on an unparsable value.
-[[nodiscard]] SimBackend simBackendFromEnv(SimBackend fallback = SimBackend::Auto);
-
-/// One hop of the graceful backend degradation chain, reported through
-/// the process-wide fallback hook: makeSimulator was asked for
-/// `requested` but built `chosen` instead, for `reason` (no host
-/// compiler, compile or load failure). Structured so services can
-/// count and surface degradations instead of grepping warning logs.
-struct SimBackendFallback {
-    std::string netlist;    ///< Netlist::name()
-    SimBackend requested = SimBackend::Auto;
-    SimBackend chosen = SimBackend::Auto;
-    std::string reason;
-};
-
-using SimBackendFallbackHook = std::function<void(const SimBackendFallback&)>;
-
-/// Installs the fallback observer and returns the previous one (install
-/// nullptr to restore the default, which logs a warning). Process-wide;
-/// tests swap it in and out around a case.
-SimBackendFallbackHook setSimBackendFallbackHook(SimBackendFallbackHook hook);
 
 /// Common interface of the RTL simulation backends. Semantics are
 /// pinned by the event-driven engine and enforced by the differential
@@ -66,7 +31,7 @@ class Simulator {
 public:
     virtual ~Simulator() = default;
 
-    /// "event", "compiled", or "codegen" — which engine actually runs.
+    /// "event" or "compiled" — which engine runs.
     [[nodiscard]] virtual std::string_view backendName() const = 0;
 
     /// Drives an input port for subsequent evaluations.
@@ -94,15 +59,8 @@ public:
     [[nodiscard]] virtual std::uint64_t cycleCount() const = 0;
 };
 
-/// Builds a simulator for `netlist`:
-///  - EventDriven: the interpreter.
-///  - Compiled: the levelized backend.
-///  - Codegen: the generated-C++ backend, degrading to Compiled on a
-///    CodegenError (no host compiler, compile or load failure); the hop
-///    fires the fallback hook with a structured reason. Use CodegenSim
-///    directly for strict (throwing) construction.
-///  - Auto: the SOCGEN_SIM_BACKEND override when set, otherwise Compiled.
+/// Builds a simulator for `netlist` on `backend`.
 [[nodiscard]] std::unique_ptr<Simulator> makeSimulator(const Netlist& netlist,
-                                                       SimBackend backend = SimBackend::Auto);
+                                                       SimBackend backend = SimBackend::Compiled);
 
 } // namespace socgen::rtl

@@ -10,10 +10,10 @@ namespace socgen::soc {
 
 /// Adapts a gate-level rtl::Simulator to a sim::Engine component, so a
 /// generated core's netlist can be clocked inside the SoC cycle engine
-/// (one netlist clock per engine cycle) under any RTL backend. Used
+/// (one netlist clock per engine cycle) under either RTL backend. Used
 /// by runtime tests to cosimulate a core at gate level next to the
-/// behavioural system model; the backend is selectable per instance and
-/// via SOCGEN_SIM_BACKEND like every other simulator construction.
+/// behavioural system model; the backend is Compiled unless the
+/// instance asks for the event-driven oracle.
 class RtlCoreComponent final : public sim::Component {
 public:
     /// `netlist` must outlive the component. `donePort` names an output
@@ -21,7 +21,7 @@ public:
     /// empty means the core free-runs and reports idle immediately.
     RtlCoreComponent(std::string name, const rtl::Netlist& netlist,
                      std::string donePort = "ap_done",
-                     rtl::SimBackend backend = rtl::SimBackend::Auto);
+                     rtl::SimBackend backend = rtl::SimBackend::Compiled);
 
     [[nodiscard]] const std::string& name() const override { return name_; }
     bool tick() override;

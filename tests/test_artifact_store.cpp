@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -54,7 +56,10 @@ TEST(ArtifactStoreShards, ObjectsLandInDigestPrefixDirectories) {
     EXPECT_TRUE(fs::is_regular_file(expected));
     EXPECT_TRUE(store.contains(key));
     EXPECT_EQ(store.objectCount(), 1u);
-    ASSERT_TRUE(store.load(key).has_value());
+    EXPECT_EQ(store.keys(), std::vector<std::string>{key});
+    const std::optional<hls::HlsResult> loaded = store.load(key);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(hls::encodeHlsResult(*loaded), hls::encodeHlsResult(fx.result));
 }
 
 TEST(ArtifactStoreShards, FlatLegacyObjectsMigrateOnOpen) {
@@ -105,7 +110,7 @@ TEST(ArtifactStoreQuarantine, CorruptObjectIsQuarantinedOnLoad) {
 
     ArtifactStore::LoadDiag diag;
     EXPECT_EQ(store.load(key, &diag), std::nullopt);
-    EXPECT_FALSE(diag.whyMiss.empty());
+    EXPECT_NE(diag.whyMiss.find("digest mismatch"), std::string::npos) << diag.whyMiss;
     EXPECT_TRUE(diag.quarantined);
     EXPECT_TRUE(fs::is_regular_file(diag.quarantinePath));
     // The corpse left the object tree: the key now reads as a plain miss
@@ -118,6 +123,65 @@ TEST(ArtifactStoreQuarantine, CorruptObjectIsQuarantinedOnLoad) {
     // Re-synthesis heals transparently.
     store.store(key, fx.result);
     EXPECT_TRUE(store.load(key).has_value());
+}
+
+TEST(ArtifactStoreQuarantine, RoundTripValidateQuarantine) {
+    // The whole life of one key: miss, round trip, digest-mismatch
+    // quarantine, re-store over the quarantined slot, clean scrub.
+    StoreFixture fx;
+    ArtifactStore store(fx.root);
+    const std::string key = fx.keyFor("v1");
+    EXPECT_FALSE(store.contains(key));
+    EXPECT_FALSE(store.load(key).has_value());
+    EXPECT_TRUE(store.keys().empty());
+
+    store.store(key, fx.result);
+    EXPECT_TRUE(store.contains(key));
+    EXPECT_EQ(store.objectCount(), 1u);
+    EXPECT_EQ(store.keys(), std::vector<std::string>{key});
+    const std::optional<hls::HlsResult> loaded = store.load(key);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(hls::encodeHlsResult(*loaded), hls::encodeHlsResult(fx.result));
+
+    store.corruptObject(key);
+    ArtifactStore::LoadDiag diag;
+    EXPECT_FALSE(store.load(key, &diag).has_value());
+    EXPECT_TRUE(diag.quarantined);
+    EXPECT_NE(diag.whyMiss.find("digest mismatch"), std::string::npos) << diag.whyMiss;
+    EXPECT_FALSE(store.contains(key));
+    EXPECT_TRUE(store.keys().empty());
+    EXPECT_EQ(store.quarantinedObjects(), 1u);
+    ASSERT_EQ(store.quarantineRecords().size(), 1u);
+    EXPECT_EQ(store.quarantineRecords().front().key, key);
+    EXPECT_TRUE(fs::is_regular_file(diag.quarantinePath));
+
+    store.store(key, fx.result);
+    const ArtifactStore::ScrubReport report = store.scrub();
+    EXPECT_EQ(report.scanned, 1u);
+    EXPECT_TRUE(report.quarantined.empty());
+    EXPECT_EQ(store.keys(), std::vector<std::string>{key});
+}
+
+TEST(ArtifactStoreQuarantine, ForeignMagicIsQuarantinedNotDecoded) {
+    // An object whose digest and key lines are intact but whose magic line
+    // names another format is never decoded: it is quarantined on load.
+    StoreFixture fx;
+    ArtifactStore store(fx.root);
+    const std::string key = fx.keyFor("v1");
+    store.store(key, fx.result);
+    const std::string path = fx.root + "/objects/" +
+                             key.substr(0, ArtifactStore::kShardPrefixLen) + "/" + key +
+                             ".art";
+    const std::string image = readTextFile(path);
+    ASSERT_EQ(image.rfind("SOCGENART1\n", 0), 0u);
+    writeFileAtomic(path, "SOCGENSO1" + image.substr(image.find('\n')));
+
+    ArtifactStore::LoadDiag diag;
+    EXPECT_EQ(store.load(key, &diag), std::nullopt);
+    EXPECT_TRUE(diag.quarantined);
+    EXPECT_NE(diag.whyMiss.find("bad magic"), std::string::npos) << diag.whyMiss;
+    EXPECT_FALSE(store.contains(key));
+    EXPECT_EQ(store.quarantinedObjects(), 1u);
 }
 
 TEST(ArtifactStoreQuarantine, LoadOrThrowNamesTheFailure) {

@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <filesystem>
 #include <fstream>
@@ -521,8 +520,8 @@ struct FlowSnapshot {
 
 /// Runs the quickstart flow into `dir` and captures the journal header's
 /// fingerprint plus every written project file.
-FlowSnapshot snapshotFlow(const FlowOptions& options, const std::string& dir) {
-    const hls::KernelLibrary kernels = exampleKernels();
+FlowSnapshot snapshotFlow(const FlowOptions& options, const std::string& dir,
+                          const hls::KernelLibrary& kernels = exampleKernels()) {
     FlowOptions run = options;
     run.outputDir = dir;
     FlowSnapshot snap;
@@ -645,35 +644,61 @@ TEST(FlowRecovery, FingerprintCoversExactlyTheOutputInputs) {
     std::filesystem::remove_all(scratch);
 }
 
-TEST(FlowRecovery, SimBackendOverrideResumesTheJournal) {
-    // The flow builds no RTL simulator, so SOCGEN_SIM_BACKEND must not
-    // touch its fingerprint: a run under the override resumes the
-    // journal a plain run wrote.
-    const std::string dir = freshDir("simbackend");
+/// Counts the DigestMismatch events a flow publishes.
+class MismatchCounter : public FlowEventSubscriber {
+public:
+    void onEvent(const FlowEvent& event) override {
+        if (event.kind == FlowEventKind::DigestMismatch) {
+            ++mismatches;
+        }
+    }
+    std::size_t mismatches = 0;
+};
+
+TEST(FlowRecovery, KernelChangeResetsTheJournal) {
+    // Same inputs: the rerun resumes the journal the first run wrote.
+    const std::string dir = freshDir("kernel_change");
     const FlowSnapshot plain = snapshotFlow(FlowOptions{}, dir);
-    std::optional<std::string> saved;
-    if (const char* value = std::getenv("SOCGEN_SIM_BACKEND")) {
-        saved = value;
-    }
-    ::setenv("SOCGEN_SIM_BACKEND", "event", 1);
-    const FlowSnapshot viaEnv = snapshotFlow(FlowOptions{}, dir);
-    if (saved.has_value()) {
-        ::setenv("SOCGEN_SIM_BACKEND", saved->c_str(), 1);
-    } else {
-        ::unsetenv("SOCGEN_SIM_BACKEND");
-    }
-    EXPECT_EQ(viaEnv.fingerprint, plain.fingerprint);
-    EXPECT_GT(viaEnv.resumedStages, 0u);
+    const FlowSnapshot again = snapshotFlow(FlowOptions{}, dir);
+    EXPECT_EQ(again.fingerprint, plain.fingerprint);
+    EXPECT_GT(again.resumedStages, 0u);
     // The resumed run's report says its HLS cores came from the store;
     // every other file is byte-identical.
     std::map<std::string, std::string> plainFiles = plain.artifacts;
-    std::map<std::string, std::string> resumedFiles = viaEnv.artifacts;
+    std::map<std::string, std::string> resumedFiles = again.artifacts;
     EXPECT_NE(resumedFiles["REPORT.md"].find("| store hit |"), std::string::npos);
     EXPECT_EQ(plainFiles["REPORT.md"].find("| store hit |"), std::string::npos);
     plainFiles.erase("REPORT.md");
     resumedFiles.erase("REPORT.md");
     EXPECT_EQ(resumedFiles, plainFiles);
+
+    // One kernel body changed (GAUSS over a narrower image): the rerun
+    // into the same directory gets a new fingerprint, starts a fresh
+    // journal instead of disagreeing with the old commits, and writes
+    // what a cold run of the changed library writes.
+    hls::KernelLibrary changed;
+    changed.add(apps::makeAddKernel());
+    changed.add(apps::makeMulKernel());
+    changed.add(apps::makeGaussKernel(32));
+    changed.add(apps::makeEdgeKernel(64));
+    const auto counter = std::make_shared<MismatchCounter>();
+    FlowOptions watched;
+    watched.subscribers.push_back(counter);
+    const FlowSnapshot rerun = snapshotFlow(watched, dir, changed);
+    EXPECT_NE(rerun.fingerprint, plain.fingerprint);
+    EXPECT_EQ(counter->mismatches, 0u);
+    EXPECT_EQ(rerun.resumedStages, 0u);
+    const std::string coldDir = freshDir("kernel_change_cold");
+    const FlowSnapshot cold = snapshotFlow(FlowOptions{}, coldDir, changed);
+    EXPECT_EQ(rerun.fingerprint, cold.fingerprint);
+    std::map<std::string, std::string> rerunFiles = rerun.artifacts;
+    std::map<std::string, std::string> coldFiles = cold.artifacts;
+    EXPECT_NE(rerunFiles, plain.artifacts);
+    rerunFiles.erase("REPORT.md");
+    coldFiles.erase("REPORT.md");
+    EXPECT_EQ(rerunFiles, coldFiles);
     std::filesystem::remove_all(dir);
+    std::filesystem::remove_all(coldDir);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 // Differential test between the RTL simulation backends: the
-// event-driven reference engine (NetlistSimulator), the compiled
-// levelized engine (CompiledSim), and — when a host compiler is
-// available — the generated-C++ engine (CodegenSim) must produce
-// cycle-identical signal traces — every net, every cycle — and
-// identical final memory state on every design we can throw at them:
+// event-driven reference engine (NetlistSimulator) and the compiled
+// levelized engine (CompiledSim) must produce cycle-identical signal
+// traces — every net, every cycle — and identical final memory state
+// on every design we can throw at them:
 // seeded random netlists covering the full cell vocabulary, and the
 // HLS netlists of all four Otsu case study architectures.
 // ctest label: diff-sim.
@@ -14,8 +13,6 @@
 #include "socgen/common/error.hpp"
 #include "socgen/common/textfile.hpp"
 #include "socgen/hls/engine.hpp"
-#include "socgen/rtl/codegen_emit.hpp"
-#include "socgen/rtl/codegen_sim.hpp"
 #include "socgen/rtl/compiled_sim.hpp"
 #include "socgen/rtl/netlist_sim.hpp"
 #include "socgen/rtl/primitives.hpp"
@@ -29,7 +26,6 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,22 +34,6 @@ namespace {
 
 /// Per-cycle stimulus: port name -> value to drive before the step.
 using Stimulus = std::map<std::string, std::uint64_t>;
-
-/// True once per process: is the generated-C++ backend usable here? The
-/// no-compiler CI leg (SOCGEN_CXX=/nonexistent) runs the same suite as
-/// a two-way comparison; everywhere else the suite is three-way.
-bool codegenUsable() {
-    static const bool usable = codegenToolchainAvailable();
-    return usable;
-}
-
-/// Strict CodegenSim construction for the differential suite: the
-/// toolchain probe above is the only sanctioned reason to skip, so any
-/// emit/compile/load failure on a supported netlist is a test failure,
-/// not a silent two-way downgrade.
-std::unique_ptr<Simulator> makeCodegenStrict(const Netlist& netlist) {
-    return std::make_unique<CodegenSim>(netlist);
-}
 
 /// Steps every backend in lockstep for `cycles` cycles, asserting after
 /// every step that all net values agree pairwise against the
@@ -67,9 +47,6 @@ void expectLockstep(const Netlist& netlist,
     std::vector<std::unique_ptr<Simulator>> sims;
     sims.push_back(std::make_unique<NetlistSimulator>(netlist));
     sims.push_back(std::make_unique<CompiledSim>(netlist));
-    if (codegenUsable()) {
-        sims.push_back(makeCodegenStrict(netlist));
-    }
     Simulator& reference = *sims.front();
 
     const auto compareNets = [&](std::size_t cycle, const char* when) {
@@ -212,9 +189,6 @@ TEST(PrimitiveDiff, ResetAfterBramFaultResumesIdentically) {
     std::vector<std::unique_ptr<Simulator>> sims;
     sims.push_back(std::make_unique<NetlistSimulator>(netlist));
     sims.push_back(std::make_unique<CompiledSim>(netlist));
-    if (codegenUsable()) {
-        sims.push_back(makeCodegenStrict(netlist));
-    }
     for (auto& sim : sims) {
         SCOPED_TRACE(std::string(sim->backendName()));
         sim->setInput("addr", 200);
@@ -287,14 +261,10 @@ TEST(OtsuArchDiff, AllArchitecturesAgreeOnBothBackends) {
 
 TEST(TraceDiff, CounterVcdIsByteIdenticalAcrossBackends) {
     const Netlist netlist = makeCounter("ctr", 8);
-    std::vector<SimBackend> backends = {SimBackend::EventDriven, SimBackend::Compiled};
-    if (codegenUsable()) {
-        backends.push_back(SimBackend::Codegen);
-    }
+    const std::vector<SimBackend> backends = {SimBackend::EventDriven, SimBackend::Compiled};
     std::vector<std::string> rendered;
     for (const SimBackend backend : backends) {
-        const auto sim = backend == SimBackend::Codegen ? makeCodegenStrict(netlist)
-                                                        : makeSimulator(netlist, backend);
+        const auto sim = makeSimulator(netlist, backend);
         VcdTrace trace(netlist, *sim);
         sim->setInput("en", 1);
         for (int cycle = 0; cycle < 24; ++cycle) {
@@ -320,87 +290,20 @@ TEST(TraceDiff, CounterVcdIsByteIdenticalAcrossBackends) {
 }
 
 // ---------------------------------------------------------------------------
-// Backend selection: Auto is the SOCGEN_SIM_BACKEND override or Compiled.
-
-/// Saves an environment variable and restores it on scope exit, so the
-/// selection tests behave the same under the CI diff-sim job (which runs
-/// the whole label with SOCGEN_SIM_BACKEND exported).
-class EnvGuard {
-public:
-    explicit EnvGuard(const char* name) : name_(name) {
-        if (const char* value = std::getenv(name)) {
-            saved_ = value;
-        }
-        ::unsetenv(name);
-    }
-    ~EnvGuard() {
-        if (saved_.has_value()) {
-            ::setenv(name_, saved_->c_str(), 1);
-        } else {
-            ::unsetenv(name_);
-        }
-    }
-    EnvGuard(const EnvGuard&) = delete;
-    EnvGuard& operator=(const EnvGuard&) = delete;
-
-private:
-    const char* name_;
-    std::optional<std::string> saved_;
-};
+// Backend selection: Compiled unless the oracle is asked for.
 
 TEST(BackendSelect, NamesAndParsing) {
     EXPECT_EQ(simBackendName(SimBackend::EventDriven), "event");
     EXPECT_EQ(simBackendName(SimBackend::Compiled), "compiled");
-    EXPECT_EQ(simBackendName(SimBackend::Codegen), "codegen");
-    EXPECT_EQ(simBackendFromString("event-driven"), SimBackend::EventDriven);
-    EXPECT_EQ(simBackendFromString("compiled"), SimBackend::Compiled);
-    EXPECT_EQ(simBackendFromString("codegen"), SimBackend::Codegen);
-    EXPECT_EQ(simBackendFromString("auto"), SimBackend::Auto);
-    EXPECT_THROW((void)simBackendFromString("verilator"), Error);
 }
 
 TEST(BackendSelect, ExplicitBackendsReportThemselves) {
     const Netlist netlist = makeCounter("ctr", 8);
     EXPECT_EQ(makeSimulator(netlist, SimBackend::EventDriven)->backendName(), "event");
     EXPECT_EQ(makeSimulator(netlist, SimBackend::Compiled)->backendName(), "compiled");
-    if (codegenUsable()) {
-        EXPECT_EQ(makeSimulator(netlist, SimBackend::Codegen)->backendName(), "codegen");
-    }
-}
-
-TEST(BackendSelect, CodegenResolvesThroughEnv) {
-    // SOCGEN_SIM_BACKEND=codegen is honoured as a request whether or not
-    // a host compiler exists; only construction degrades, never the
-    // request. An explicit backend beats the override.
-    const EnvGuard guard("SOCGEN_SIM_BACKEND");
-    ::setenv("SOCGEN_SIM_BACKEND", "codegen", 1);
-    EXPECT_EQ(simBackendFromEnv(), SimBackend::Codegen);
-    EXPECT_EQ(simBackendFromEnv(SimBackend::Compiled), SimBackend::Codegen);
-    const Netlist netlist = makeCounter("ctr", 8);
-    EXPECT_EQ(makeSimulator(netlist, SimBackend::Compiled)->backendName(), "compiled");
-}
-
-TEST(BackendSelect, EnvOverridesAuto) {
-    const EnvGuard guard("SOCGEN_SIM_BACKEND");
-    const Netlist netlist = makeCounter("ctr", 8);
-    EXPECT_EQ(makeSimulator(netlist)->backendName(), "compiled");  // Auto = Compiled
-    EXPECT_EQ(simBackendFromEnv(), SimBackend::Auto);
-    ::setenv("SOCGEN_SIM_BACKEND", "event", 1);
-    EXPECT_EQ(makeSimulator(netlist)->backendName(), "event");
-    EXPECT_EQ(simBackendFromEnv(), SimBackend::EventDriven);
-    ::setenv("SOCGEN_SIM_BACKEND", "compiled", 1);
-    EXPECT_EQ(makeSimulator(netlist)->backendName(), "compiled");
-    // An explicit backend beats the env override.
-    EXPECT_EQ(makeSimulator(netlist, SimBackend::EventDriven)->backendName(), "event");
-    // A malformed override fails loudly, naming the variable.
-    ::setenv("SOCGEN_SIM_BACKEND", "verilator", 1);
-    try {
-        (void)makeSimulator(netlist);
-        FAIL() << "accepted SOCGEN_SIM_BACKEND=verilator";
-    } catch (const Error& e) {
-        EXPECT_NE(std::string(e.what()).find("SOCGEN_SIM_BACKEND"), std::string::npos)
-            << e.what();
-    }
+    EXPECT_EQ(makeSimulator(netlist)->backendName(), "compiled");  // the default
+    const soc::RtlCoreComponent core("ctr_core", netlist, "");
+    EXPECT_EQ(core.sim().backendName(), "compiled");
 }
 
 TEST(EngineHosting, RtlCoreRunsIdenticallyUnderBothBackends) {
@@ -408,10 +311,7 @@ TEST(EngineHosting, RtlCoreRunsIdenticallyUnderBothBackends) {
     // RtlCoreComponent must reach ap_done on the same engine cycle with
     // the same result whichever RTL backend clocks the netlist.
     const hls::HlsResult r = hls::HlsEngine{}.synthesize(apps::makeAddKernel(), {});
-    std::vector<SimBackend> backends = {SimBackend::EventDriven, SimBackend::Compiled};
-    if (codegenUsable()) {
-        backends.push_back(SimBackend::Codegen);
-    }
+    const std::vector<SimBackend> backends = {SimBackend::EventDriven, SimBackend::Compiled};
     std::vector<std::uint64_t> cycles;
     std::vector<std::uint64_t> sum;
     for (const SimBackend backend : backends) {

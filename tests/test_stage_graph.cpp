@@ -51,6 +51,16 @@ struct RecordingSubscriber : FlowEventSubscriber {
         }
         return n;
     }
+    /// The first `kind` event of `stage`; fails the test when there is none.
+    [[nodiscard]] FlowEvent find(FlowEventKind kind, const std::string& stage) const {
+        for (const auto& e : events) {
+            if (e.kind == kind && e.stage == stage) {
+                return e;
+            }
+        }
+        ADD_FAILURE() << "no " << toString(kind) << " event for stage " << stage;
+        return FlowEvent{};
+    }
 };
 
 // ---------------------------------------------------------------------------
@@ -126,15 +136,18 @@ TEST(StageGraphExecutorTest, RunsEveryStageAndReportsOutputs) {
     graph.add(std::move(a));
     graph.add(std::move(b));
 
-    StageGraphExecutor executor(ExecutorConfig{}, nullptr, nullptr);
-    const auto executions = executor.execute(graph);
-    ASSERT_EQ(executions.size(), 2u);
-    EXPECT_TRUE(executions[0].ran);
-    EXPECT_TRUE(executions[1].ran);
+    auto bus = std::make_shared<RecordingSubscriber>();
+    FlowEventBus events;
+    events.subscribe(bus);
+    StageGraphExecutor executor(ExecutorConfig{}, &events, nullptr);
+    executor.execute(graph);
+    EXPECT_EQ(bus->count(FlowEventKind::StageBegin), 2u);
+    EXPECT_EQ(bus->find(FlowEventKind::StageBegin, "a").stage, "a");
+    EXPECT_EQ(bus->find(FlowEventKind::StageBegin, "b").stage, "b");
     EXPECT_LT(ranA, ranB);  // dependency respected
-    EXPECT_EQ(executions[0].output.digest, "digest-a");
-    EXPECT_EQ(executions[1].output.digest, "digest-b");
-    EXPECT_EQ(executions[0].meta.attempts, 1);
+    EXPECT_EQ(bus->find(FlowEventKind::StageCommit, "a").detail, "digest-a");
+    EXPECT_EQ(bus->find(FlowEventKind::StageCommit, "b").detail, "digest-b");
+    EXPECT_EQ(bus->find(FlowEventKind::StageCommit, "a").attempt, 1u);
     EXPECT_EQ(executor.stats().stageRetries, 0u);
     EXPECT_EQ(executor.stats().stageTimeouts, 0u);
 }
@@ -160,7 +173,7 @@ TEST(StageGraphExecutorTest, FirstErrorPropagatesAndDependentsNeverRun) {
     events.subscribe(bus);
     StageGraphExecutor executor(ExecutorConfig{}, &events, nullptr);
     try {
-        (void)executor.execute(graph);
+        executor.execute(graph);
         FAIL() << "expected the stage error to propagate";
     } catch (const Error& e) {
         EXPECT_NE(std::string(e.what()).find("stage b exploded"), std::string::npos);
@@ -194,9 +207,9 @@ TEST(StageGraphExecutorTest, AbsorbedFailureDegradesButDependentsStillRun) {
     FlowEventBus events;
     events.subscribe(bus);
     StageGraphExecutor executor(ExecutorConfig{}, &events, nullptr);
-    const auto executions = executor.execute(graph);
-    EXPECT_TRUE(executions[0].absorbed);
-    EXPECT_NE(executions[0].absorbedNote.find("degraded"), std::string::npos);
+    executor.execute(graph);
+    EXPECT_NE(bus->find(FlowEventKind::StageDegraded, "flaky").detail.find("degraded"),
+              std::string::npos);
     EXPECT_TRUE(downstreamRan);
     EXPECT_EQ(bus->count(FlowEventKind::StageDegraded), 1u);
     EXPECT_EQ(bus->count(FlowEventKind::StageFailed), 0u);
@@ -219,8 +232,8 @@ TEST(StageGraphExecutorTest, TransientFailureRetriesWithEvents) {
     ExecutorConfig config;
     config.stagePolicy.backoffBaseMs = 0.1;
     StageGraphExecutor executor(config, &events, nullptr);
-    const auto executions = executor.execute(graph);
-    EXPECT_EQ(executions[0].meta.attempts, 2);
+    executor.execute(graph);
+    EXPECT_EQ(bus->find(FlowEventKind::StageCommit, "flaky").attempt, 2u);
     EXPECT_EQ(executor.stats().stageRetries, 1u);
     EXPECT_EQ(bus->count(FlowEventKind::StageRetry), 1u);
     EXPECT_EQ(bus->count(FlowEventKind::StageCommit), 1u);
@@ -372,9 +385,16 @@ TEST(StageGraphExecutorTest, ExternalSchedulerRunsAllStagesInOrder) {
     }
     ExecutorConfig config;
     config.scheduler = &scheduler;
-    StageGraphExecutor executor(config, nullptr, nullptr);
-    const auto executions = executor.execute(graph);
-    EXPECT_EQ(executions.size(), 3u);
+    auto table = std::make_shared<StageTableSubscriber>();
+    FlowEventBus events;
+    events.subscribe(table);
+    StageGraphExecutor executor(config, &events, nullptr);
+    executor.execute(graph);
+    const auto rows = table->orderedRows(graph.topologicalNames());
+    ASSERT_EQ(rows.size(), 3u);
+    for (const auto& row : rows) {
+        EXPECT_TRUE(row.committed) << row.stage;
+    }
     ASSERT_EQ(order.size(), 3u);
     EXPECT_EQ(order[0], "a");  // the dependency always runs first
 
@@ -387,7 +407,7 @@ TEST(StageGraphExecutorTest, ExternalSchedulerRunsAllStagesInOrder) {
     failing.add(std::move(bad));
     failing.add(simpleStage("never", {"bad"}));
     StageGraphExecutor failingExecutor(config, nullptr, nullptr);
-    EXPECT_THROW((void)failingExecutor.execute(failing), DslError);
+    EXPECT_THROW(failingExecutor.execute(failing), DslError);
 }
 
 TEST(StageGraphExecutorTest, SchedulerWithTwoWorkersStillRunsOneStageAtATime) {
@@ -424,7 +444,7 @@ TEST(StageGraphExecutorTest, SchedulerWithTwoWorkersStillRunsOneStageAtATime) {
     ExecutorConfig config;
     config.scheduler = &scheduler;
     StageGraphExecutor executor(config, nullptr, nullptr);
-    (void)executor.execute(graph);
+    executor.execute(graph);
     EXPECT_EQ(peak, 1);
     EXPECT_EQ(order, graph.topologicalNames());
 }
@@ -438,7 +458,7 @@ TEST(StageGraphExecutorTest, TaskDroppedBySchedulerFailsTheFlow) {
     ExecutorConfig config;
     config.scheduler = &scheduler;
     StageGraphExecutor executor(config, nullptr, nullptr);
-    EXPECT_THROW((void)executor.execute(graph), std::future_error);
+    EXPECT_THROW(executor.execute(graph), std::future_error);
 }
 
 } // namespace
