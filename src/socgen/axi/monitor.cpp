@@ -8,10 +8,9 @@
 namespace socgen::axi {
 
 StreamMonitor::StreamMonitor(StreamChannel& channel, const sim::Engine* clock)
-    : channel_(&channel), clock_(clock) {
-    if (clock_ != nullptr) {
-        accounted_ = clock_->cyclesDone();
-        channel.setMonitor(this);
+    : channel_(&channel), clocked_(clock != nullptr) {
+    if (clock != nullptr) {
+        channel.setMonitor(this, *clock);
     }
 }
 

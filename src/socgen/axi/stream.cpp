@@ -2,15 +2,16 @@
 
 #include "socgen/axi/monitor.hpp"
 #include "socgen/common/error.hpp"
-#include "socgen/sim/engine.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace socgen::axi {
 
 StreamChannel::StreamChannel(std::string name, std::size_t capacity, unsigned width)
-    : name_(std::move(name)), capacity_(capacity), width_(width) {
+    : name_(std::move(name)),
+      capacity_(capacity),
+      width_(width),
+      mask_(width < 64 ? (1ULL << width) - 1ULL : ~0ULL) {
     if (capacity_ == 0) {
         throw Error("stream channel capacity must be positive: " + name_);
     }
@@ -42,7 +43,39 @@ void StreamChannel::parkWriter(sim::Component& writer) {
     park(parkedWriter_, writer);
 }
 
+void StreamChannel::parkOwingWriter(sim::Component& writer, std::uint64_t wakeAfter) {
+    park(parkedWriter_, writer);
+    startDebt(Debtor::Writer, wakeAfter);
+}
+
+void StreamChannel::parkOwingReader(sim::Component& reader, std::uint64_t wakeAfter) {
+    park(parkedReader_, reader);
+    startDebt(Debtor::Reader, wakeAfter);
+}
+
+void StreamChannel::startDebt(Debtor debtor, std::uint64_t wakeAfter) {
+    debtor_ = debtor;
+    wakeAfter_ = wakeAfter;
+    debts_.clear();
+    replayed_ = 0;
+    level_ = count_;
+}
+
+const std::vector<std::uint64_t>& StreamChannel::endDebt() {
+    syncMonitor();  // the replay's moves are then late for every accounted cycle
+    (debtor_ == Debtor::Writer ? parkedWriter_ : parkedReader_) = nullptr;
+    debtor_ = Debtor::None;
+    return debts_;
+}
+
+void StreamChannel::settleDebtor() const {
+    if (debtor_ != Debtor::None) {
+        (debtor_ == Debtor::Writer ? parkedWriter_ : parkedReader_)->wake();
+    }
+}
+
 void StreamChannel::setPushBlocked(bool blocked) {
+    settleDebtor();
     if (!blocked) {
         unpark(parkedWriter_);
     }
@@ -50,17 +83,24 @@ void StreamChannel::setPushBlocked(bool blocked) {
 }
 
 void StreamChannel::setPopBlocked(bool blocked) {
+    settleDebtor();
     if (!blocked) {
         unpark(parkedReader_);
     }
     popBlocked_ = blocked;
 }
 
-void StreamChannel::changing(sim::Component*& waiter) {
-    if (monitor_ != nullptr) {
-        monitor_->beforeChange();
+void StreamChannel::setMonitor(StreamMonitor* monitor, const sim::Engine& clock) {
+    monitor_ = monitor;
+    clock_ = &clock;
+    accounted_ = clock.cyclesDone();
+}
+
+void StreamChannel::syncMonitor() {
+    if (const std::uint64_t cycles = unaccounted(); cycles > 0) {
+        monitor_->sample(cycles);
+        accounted_ += cycles;
     }
-    unpark(waiter);
 }
 
 void StreamChannel::grow() {
@@ -72,73 +112,69 @@ void StreamChannel::grow() {
     head_ = 0;
 }
 
-void StreamChannel::append(StreamBeat beat) {
-    if (width_ < 64) {
-        beat.data &= (1ULL << width_) - 1ULL;
+void StreamChannel::pushSlow(StreamBeat beat) {
+    syncMonitor();
+    if (debtor_ == Debtor::Reader) {
+        // The reader owes this beat's pop; per-cycle occupancy, and so the
+        // high-water mark, is known when it replays.
+        put(beat);
+        debts_.push_back(parkedReader_->nextTurn());
+        if (count_ >= capacity_ || debts_.size() >= wakeAfter_) {
+            parkedReader_->wake();
+        }
+        return;
     }
-    if (count_ == ring_.size()) {
-        grow();  // only a protocol-violating forcePush overfills the FIFO
-    }
-    std::size_t slot = head_ + count_;
-    if (slot >= ring_.size()) {
-        slot -= ring_.size();
-    }
-    ring_[slot] = beat;
-    ++count_;
-    ++pushed_;
-    if (beat.last) {
-        ++framesCompleted_;
-        beatsSinceTlast_ = 0;
-    } else {
-        ++beatsSinceTlast_;
-    }
+    unpark(parkedReader_);
+    put(beat);
     highWater_ = std::max(highWater_, count_);
 }
 
-void StreamChannel::removeFront() {
-    if (++head_ == ring_.size()) {
-        head_ = 0;
+void StreamChannel::popSlow(StreamBeat& beat) {
+    syncMonitor();
+    if (debtor_ == Debtor::Writer) {
+        beat = take();
+        debts_.push_back(parkedWriter_->nextTurn());
+        if (count_ == 0 || debts_.size() >= wakeAfter_) {
+            parkedWriter_->wake();
+        }
+        return;
     }
-    --count_;
+    unpark(parkedWriter_);
+    beat = take();
 }
 
-bool StreamChannel::tryPush(StreamBeat beat) {
-    if (full() || pushBlocked_) {
-        ++pushStalls_;
-        return false;
+void StreamChannel::endReplay() {
+    highWater_ = std::max(highWater_, count_);
+    if (monitor_ != nullptr) {
+        monitor_->backdate(lateIn_, lateOut_, lateFrame_);
     }
-    changing(parkedReader_);
-    append(beat);
-    return true;
-}
-
-bool StreamChannel::tryPop(StreamBeat& beat) {
-    if (empty() || popBlocked_) {
-        ++popStalls_;
-        return false;
-    }
-    changing(parkedWriter_);
-    beat = ring_[head_];
-    removeFront();
-    ++popped_;
-    return true;
+    lateIn_ = lateOut_ = lateFrame_ = 0;
 }
 
 void StreamChannel::forcePush(StreamBeat beat) {
-    changing(parkedReader_);
-    append(beat);
+    settleDebtor();
+    syncMonitor();
+    unpark(parkedReader_);
+    if (count_ == ring_.size()) {
+        grow();  // only a protocol-violating forcePush overfills the FIFO
+    }
+    put(beat);
+    highWater_ = std::max(highWater_, count_);
 }
 
 bool StreamChannel::dropFront() {
+    settleDebtor();
     if (empty()) {
         return false;
     }
-    changing(parkedWriter_);
+    syncMonitor();
+    unpark(parkedWriter_);
     removeFront();
     return true;
 }
 
 const StreamBeat& StreamChannel::front() const {
+    settleDebtor();
     if (empty()) {
         throw Error("front() on empty stream channel " + name_);
     }
@@ -146,7 +182,9 @@ const StreamBeat& StreamChannel::front() const {
 }
 
 void StreamChannel::reset() {
-    changing(parkedReader_);
+    settleDebtor();
+    syncMonitor();
+    unpark(parkedReader_);
     unpark(parkedWriter_);
     head_ = count_ = 0;
     pushed_ = popped_ = pushStalls_ = popStalls_ = 0;

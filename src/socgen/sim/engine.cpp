@@ -85,9 +85,12 @@ std::uint64_t Engine::realTicks(const Component& component) const {
 void Engine::settleAndWake(std::size_t index) {
     Slot& slot = slots_[index];
     const std::uint64_t through = frontierOf(index);
-    if (through > slot.sleptFrom && slot.component->skip(through - slot.sleptFrom)) {
-        slot.lastProgress = through - 1;
-        stallFrom_ = std::max(stallFrom_, through);
+    // Called even when no slept cycle has passed: a sleeper that owes
+    // moves stops owing at its wake.
+    const std::uint64_t last = slot.component->skip(slot.sleptFrom, through - slot.sleptFrom);
+    if (last != kNoProgress) {
+        slot.lastProgress = last;
+        stallFrom_ = std::max(stallFrom_, last + 1);
     }
     slot.asleep = false;
     ++awakeSleepers_;
@@ -200,11 +203,14 @@ void Engine::skipAwake(std::uint64_t cycles) {
     if (sleepers_ == slots_.size()) {
         return;  // every component sleeps through its own quiet spans
     }
-    const std::uint64_t last = now_ + cycles - 1;
     for (Slot& slot : slots_) {
-        if (!slot.sleeps && slot.component->skip(cycles)) {
+        if (slot.sleeps) {
+            continue;
+        }
+        const std::uint64_t last = slot.component->skip(now_, cycles);
+        if (last != kNoProgress) {
             slot.lastProgress = last;
-            stallFrom_ = last + 1;
+            stallFrom_ = std::max(stallFrom_, last + 1);
         }
     }
 }

@@ -14,6 +14,10 @@ namespace socgen::sim {
 /// horizon that nothing in the component or probe itself limits.
 inline constexpr std::uint64_t kUnbounded = ~std::uint64_t{0};
 
+/// What Component::skip() returns when none of the skipped cycles made
+/// progress.
+inline constexpr std::uint64_t kNoProgress = ~std::uint64_t{0};
+
 class Engine;
 
 /// A clocked component of the simulated SoC. On each real cycle the
@@ -25,7 +29,10 @@ class Engine;
 /// asleep at the end of a cycle on which it ticked when fallAsleep()
 /// returns a quiet span above 0, and is not ticked again until that span
 /// ends or a wake source it armed calls wake(). At wake the engine
-/// credits the slept cycles with one skip() call. A component that keeps
+/// credits the slept cycles with one skip() call. A sleeper may also owe
+/// moves: a DMA parked owing on a stream is not woken by each move of
+/// the core at its other end, but replays the moves it owes at the cycles
+/// they fell on when it is woken (DESIGN.md §16). A component that keeps
 /// the default canSleep() is ticked on every real cycle; the engine only
 /// asks its quietFor() when no sleeping component is due, to bound a jump
 /// of the clock. Either way the result is identical to ticking every
@@ -51,11 +58,16 @@ public:
     /// do nothing when ticked.
     [[nodiscard]] virtual std::uint64_t quietFor() const { return idle() ? kUnbounded : 0; }
 
-    /// Applies `cycles` (<= the quiet span) quiet ticks at once and
-    /// returns the progress flag each of them would have returned.
-    virtual bool skip(std::uint64_t cycles) {
+    /// Applies the ticks of the `cycles` cycles from `first` at once and
+    /// returns the last of those cycles on which tick() would have
+    /// reported progress, or kNoProgress. The span is at most the quiet
+    /// span, or, for a sleeper, the cycles it slept: the engine calls it at
+    /// every wake, with `cycles` 0 when none passed, and a sleeper that
+    /// owes moves makes them here.
+    virtual std::uint64_t skip(std::uint64_t first, std::uint64_t cycles) {
+        (void)first;
         (void)cycles;
-        return false;
+        return kNoProgress;
     }
 
     /// True if the component sleeps through its quiet spans. Asked once,
@@ -79,6 +91,10 @@ public:
     /// before changing the component's state. No-op while awake.
     void wake();
 
+    /// First cycle on which this component has not had its turn yet: the
+    /// cycle its answer to a move another component makes now falls on.
+    [[nodiscard]] std::uint64_t nextTurn() const;
+
     /// One-line description of the component's internal state, used for
     /// deadlock forensics ("polling 0x43c00004", "MM2S 512 words left").
     [[nodiscard]] virtual std::string debugState() const { return {}; }
@@ -93,12 +109,15 @@ private:
 /// each jump of the clock (fault injectors, delayed IRQ edges).
 ///
 /// A probe sees a sleeping component's counters as they stood when it
-/// fell asleep; the engine settles them before the sample of the cycle
-/// on which a run ends (all idle, deadlock or overrun). A probe whose
-/// horizon() is 0 acts on the coming cycle: the engine then ticks every
-/// component on that cycle, so the probe sees settled state. A probe
-/// changes components only through calls that wake them (register
-/// writes, channel blocks, IRQ edges, injected stalls).
+/// fell asleep, and a channel that a sleeping DMA owes moves to as its
+/// other end has left it since: without the owed moves, whose monitor
+/// accounting is corrected when the DMA settles. The engine settles every
+/// sleeper before the sample of the cycle on which a run ends (all idle,
+/// deadlock or overrun). A probe whose horizon() is 0 acts on the coming
+/// cycle: the engine then ticks every component on that cycle, so the
+/// probe sees settled state. A probe changes components only through
+/// calls that wake them (register writes, channel blocks, IRQ edges,
+/// injected stalls and corruption, DDR accesses to owed words).
 class Probe {
 public:
     virtual ~Probe() = default;
@@ -309,6 +328,10 @@ inline void Component::wake() {
     if (engine_ != nullptr) {
         engine_->wake(slot_);
     }
+}
+
+inline std::uint64_t Component::nextTurn() const {
+    return engine_ != nullptr ? engine_->frontierOf(slot_) : 0;
 }
 
 } // namespace socgen::sim

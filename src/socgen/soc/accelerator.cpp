@@ -98,9 +98,9 @@ std::uint64_t AcceleratorCore::fallAsleep() {
     return sim::kUnbounded;
 }
 
-bool AcceleratorCore::skip(std::uint64_t cycles) {
-    if (!vm_.running()) {
-        return false;
+std::uint64_t AcceleratorCore::skip(std::uint64_t first, std::uint64_t cycles) {
+    if (!vm_.running() || cycles == 0) {
+        return sim::kNoProgress;
     }
     const bool waiting = vm_.pendingWait() > 0;
     if (!waiting) {
@@ -113,7 +113,8 @@ bool AcceleratorCore::skip(std::uint64_t cycles) {
         }
     }
     vm_.skip(cycles);
-    return waiting;  // a Cost wait is progress, a stream stall is not
+    // A Cost wait is progress, a stream stall is not.
+    return waiting ? first + cycles - 1 : sim::kNoProgress;
 }
 
 std::uint32_t AcceleratorCore::readRegister(std::uint64_t offset) {

@@ -69,7 +69,7 @@ public:
     /// core. A process-network VM never sleeps while it runs.
     [[nodiscard]] bool canSleep() const override { return true; }
     std::uint64_t fallAsleep() override;
-    bool skip(std::uint64_t cycles) override;
+    std::uint64_t skip(std::uint64_t first, std::uint64_t cycles) override;
 
     // axi::LiteSlave
     [[nodiscard]] std::uint32_t readRegister(std::uint64_t offset) override;

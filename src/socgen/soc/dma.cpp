@@ -91,11 +91,13 @@ void DmaEngine::hpWriteVerified(std::uint64_t wordAddress, std::uint32_t value) 
 }
 
 void DmaEngine::injectMm2sCorruption(std::uint64_t xorMask, std::uint64_t words) {
+    wake();
     mm2sCorrupt_.mask = xorMask;
     mm2sCorrupt_.remaining += words;
 }
 
 void DmaEngine::injectS2mmCorruption(std::uint64_t xorMask, std::uint64_t words) {
+    wake();
     s2mmCorrupt_.mask = xorMask;
     s2mmCorrupt_.remaining += words;
 }
@@ -167,6 +169,17 @@ bool DmaEngine::tick() {
     return a || b;
 }
 
+void DmaEngine::decideOwing(Channel& ch, const axi::StreamChannel& stream, bool visible,
+                            std::uint64_t backlog, const Corruption& corruption) {
+    // A replayed verification must not run out of retries: its error
+    // would surface at the wake instead of on the cycle it fell on.
+    ch.owes = visible && backlog < ch.remaining &&
+              (retryLimit_ == 0 || corruption.remaining <= retryLimit_) &&
+              memory_.owe(*this, ch.address,
+                          std::min<std::uint64_t>(ch.remaining, stream.capacity()));
+    ch.backlog = backlog;
+}
+
 std::uint64_t DmaEngine::fallAsleep() {
     if (idle()) {
         return sim::kUnbounded;  // a tick at most counts down a stall
@@ -175,19 +188,55 @@ std::uint64_t DmaEngine::fallAsleep() {
     axi::StreamChannel* src = s2mm_.active ? s2mmSrcs_[s2mm_.route] : nullptr;
     const bool mm2sHeld = dest == nullptr || dest->full() || dest->pushBlocked();
     const bool s2mmHeld = src == nullptr || src->empty() || src->popBlocked();
-    const std::uint64_t quiet = mm2sHeld && s2mmHeld ? sim::kUnbounded : stallRemaining_;
-    if (quiet > 0) {
+    if (stallRemaining_ > 0) {
+        const std::uint64_t quiet = mm2sHeld && s2mmHeld ? sim::kUnbounded : stallRemaining_;
         if (dest != nullptr) {
             dest->parkWriter(*this);
         }
         if (src != nullptr) {
             src->parkReader(*this);
         }
+        return quiet;
     }
-    return quiet;
+    // The reader of an MM2S stream must find a beat stored whenever
+    // per-cycle stepping has one, the writer of an S2MM stream a free
+    // slot: the channel wakes the engine when its stored copy reaches the
+    // edge, so the edge must not be where it starts.
+    if (dest != nullptr) {
+        decideOwing(mm2s_, *dest,
+                    !dest->pushBlocked() && !dest->empty() && dest->size() <= dest->capacity(),
+                    dest->capacity() - std::min(dest->size(), dest->capacity()), mm2sCorrupt_);
+    }
+    if (src != nullptr) {
+        decideOwing(s2mm_, *src, !src->popBlocked() && !src->full(), src->size(), s2mmCorrupt_);
+    }
+    if ((dest != nullptr && !mm2s_.owes && !mm2sHeld) ||
+        (src != nullptr && !s2mm_.owes && !s2mmHeld)) {
+        memory_.release(*this);  // a direction must tick
+        mm2s_.owes = s2mm_.owes = false;
+        return 0;
+    }
+    if (dest != nullptr) {
+        if (mm2s_.owes) {
+            dest->parkOwingWriter(*this, mm2s_.remaining - mm2s_.backlog);
+        } else {
+            dest->parkWriter(*this);
+        }
+    }
+    if (src != nullptr) {
+        if (s2mm_.owes) {
+            src->parkOwingReader(*this, s2mm_.remaining - s2mm_.backlog);
+        } else {
+            src->parkReader(*this);
+        }
+    }
+    return sim::kUnbounded;
 }
 
-bool DmaEngine::skip(std::uint64_t cycles) {
+std::uint64_t DmaEngine::skip(std::uint64_t first, std::uint64_t cycles) {
+    if (mm2s_.owes || s2mm_.owes) {
+        return replay(first, first + cycles);  // never frozen while owing
+    }
     const std::uint64_t frozen = std::min(cycles, stallRemaining_);
     stallRemaining_ -= frozen;
     // A held-off MM2S checks before it reads, so only S2MM's failed pop
@@ -195,7 +244,84 @@ bool DmaEngine::skip(std::uint64_t cycles) {
     if (cycles > frozen && s2mm_.active) {
         s2mmSrcs_[s2mm_.route]->creditPopStalls(cycles - frozen);
     }
-    return false;
+    return sim::kNoProgress;
+}
+
+std::uint64_t DmaEngine::replay(std::uint64_t first, std::uint64_t end) {
+    // Stop owing before any move: the DDR accesses below are the engine's
+    // own, and the channels apply the moves without waking it again.
+    memory_.release(*this);
+    static const std::vector<std::uint64_t> kNone;
+    axi::StreamChannel* dest = mm2s_.owes ? mm2sDests_[mm2s_.route] : nullptr;
+    axi::StreamChannel* src = s2mm_.active ? s2mmSrcs_[s2mm_.route] : nullptr;
+    const std::vector<std::uint64_t>& pops = dest != nullptr ? dest->endDebt() : kNone;
+    const std::vector<std::uint64_t>& pushes = s2mm_.owes ? src->endDebt() : kNone;
+    std::uint64_t room = dest != nullptr ? mm2s_.backlog : 0;
+    std::uint64_t ready = s2mm_.owes ? s2mm_.backlog : 0;
+    if (src != nullptr && !s2mm_.owes) {
+        src->creditPopStalls(end - first);  // held off, parked plainly, on every cycle
+        src = nullptr;
+    }
+    mm2s_.owes = s2mm_.owes = false;
+    // Each turn moves what the partner's moves logged by then allow: free
+    // slots for MM2S, waiting beats for S2MM, as the engine's tick would
+    // find them (it ticks before the cores, so a move logged on cycle t is
+    // due on t + 1). The logs end before the move that finishes a
+    // transfer, so `remaining` stays above 0.
+    std::uint64_t last = sim::kNoProgress;
+    std::size_t popsSeen = 0;
+    std::size_t pushesSeen = 0;
+    for (std::uint64_t turn = first; turn < end;) {
+        for (; popsSeen < pops.size() && pops[popsSeen] <= turn; ++popsSeen) {
+            ++room;
+        }
+        for (; pushesSeen < pushes.size() && pushes[pushesSeen] <= turn; ++pushesSeen) {
+            ++ready;
+        }
+        if (room == 0 && ready == 0) {
+            std::uint64_t next = end;
+            if (popsSeen < pops.size()) {
+                next = std::min(next, pops[popsSeen]);
+            }
+            if (pushesSeen < pushes.size()) {
+                next = std::min(next, pushes[pushesSeen]);
+            }
+            if (src != nullptr) {
+                src->creditPopStalls(next - turn);  // a failed pop each turn
+            }
+            turn = next;
+            continue;
+        }
+        for (std::uint64_t i = 0; i < wordsPerCycle_ && room > 0; ++i, --room) {
+            const std::uint32_t word = hpReadVerified(mm2s_.address);
+            dest->replayPush(axi::StreamBeat{word, false}, turn);
+            ++mm2s_.address;
+            --mm2s_.remaining;
+            ++wordsMoved_;
+        }
+        if (src != nullptr) {
+            std::uint64_t i = 0;
+            for (; i < wordsPerCycle_ && ready > 0; ++i, --ready) {
+                const axi::StreamBeat beat = src->replayPop(turn);
+                hpWriteVerified(s2mm_.address, static_cast<std::uint32_t>(beat.data));
+                ++s2mm_.address;
+                --s2mm_.remaining;
+                ++wordsMoved_;
+            }
+            if (i < wordsPerCycle_) {
+                src->creditPopStalls(1);  // the pop that found nothing waiting
+            }
+        }
+        last = turn;
+        ++turn;
+    }
+    if (dest != nullptr) {
+        dest->endReplay();
+    }
+    if (src != nullptr) {
+        src->endReplay();
+    }
+    return last;
 }
 
 bool DmaEngine::idle() const {
@@ -228,6 +354,11 @@ std::string DmaEngine::debugState() const {
 }
 
 std::uint32_t DmaEngine::readRegister(std::uint64_t offset) {
+    // STATUS needs no settling: the move that finishes a transfer is
+    // always made awake, so `active` is exact while the engine owes moves.
+    if (offset != dmareg::kMm2sStatus && offset != dmareg::kS2mmStatus) {
+        wake();
+    }
     switch (offset) {
     case dmareg::kMm2sCtrl: return 0;
     case dmareg::kMm2sStatus: return mm2s_.active ? 0 : dmareg::kStatusIdle;

@@ -56,10 +56,23 @@ public:
     /// destination, S2MM by an empty or blocked source (whose pop stall
     /// each skipped cycle credits). It then parks on the active channels:
     /// MM2S as the destination's writer, S2MM as the source's reader.
-    /// Register writes and injectStall() wake the engine themselves.
+    /// Register writes, register reads other than STATUS, injectStall()
+    /// and injected corruption wake the engine themselves.
+    ///
+    /// While a transfer streams, an unblocked direction parks owing
+    /// (DESIGN.md §16) instead of ticking: MM2S while its destination
+    /// holds a beat, S2MM while its source has a free slot. The channel
+    /// logs its partner's pops (pushes) and wakes the engine only at the
+    /// edge the partner can see (MM2S: a pop that empties it; S2MM: a push
+    /// that fills it) or before the move that would finish the transfer;
+    /// the DDR words the direction may owe wake it when another party
+    /// touches them. At wake, skip() replays each owed beat — DDR access,
+    /// corruption, verify retries, channel and monitor counters, pop
+    /// stalls — at the cycle per-cycle stepping makes it. Completion, its
+    /// IRQ edge and STATUS thus happen on a real tick.
     [[nodiscard]] bool canSleep() const override { return true; }
     std::uint64_t fallAsleep() override;
-    bool skip(std::uint64_t cycles) override;
+    std::uint64_t skip(std::uint64_t first, std::uint64_t cycles) override;
     [[nodiscard]] std::string debugState() const override;
 
     // axi::LiteSlave
@@ -99,6 +112,8 @@ public:
 private:
     struct Channel {
         bool active = false;
+        bool owes = false;      ///< asleep, parked owing moves
+        std::uint64_t backlog = 0;  ///< moves owed from the start of the sleep
         std::uint64_t address = 0;
         std::uint64_t remaining = 0;
         std::uint32_t route = 0;
@@ -111,6 +126,16 @@ private:
 
     bool tickMm2s();
     bool tickS2mm();
+    /// Decides whether active channel `ch` can park owing, with `backlog`
+    /// moves it could make at once on `stream` (free slots for MM2S,
+    /// waiting beats for S2MM): the partner's view of `stream` can be kept
+    /// exact, the transfer cannot finish without a partner move, no
+    /// corruption could exhaust a replayed verification, and its DDR words
+    /// are registered as owed. Sets `ch.owes` and `ch.backlog`.
+    void decideOwing(Channel& ch, const axi::StreamChannel& stream, bool visible,
+                     std::uint64_t backlog, const Corruption& corruption);
+    /// Makes the owed moves of the cycles [first, end) in cycle order.
+    std::uint64_t replay(std::uint64_t first, std::uint64_t end);
     [[nodiscard]] std::uint32_t corruptValue(Corruption& c, std::uint32_t value);
     [[nodiscard]] std::uint32_t hpRead(std::uint64_t wordAddress);
     [[nodiscard]] std::uint32_t hpReadVerified(std::uint64_t wordAddress);

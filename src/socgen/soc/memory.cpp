@@ -2,6 +2,7 @@
 
 #include "socgen/common/error.hpp"
 #include "socgen/common/strings.hpp"
+#include "socgen/sim/engine.hpp"
 
 #include <bit>
 
@@ -22,7 +23,56 @@ std::vector<std::uint32_t>& Memory::allocate(Directory& directory, std::uint64_t
     return page;
 }
 
-std::uint32_t Memory::readWord(std::uint64_t wordAddress) const {
+bool Memory::owe(sim::Component& debtor, std::uint64_t first, std::uint64_t count) {
+    const std::uint64_t end = first + count;
+    for (const Debt& debt : debts_) {
+        if (debt.debtor != &debtor && debt.first < end && first < debt.end) {
+            return false;
+        }
+    }
+    if (eccEnabled_) {
+        for (std::uint64_t w = first; w < end; ++w) {
+            if (uncorrectable(w)) {
+                return false;
+            }
+        }
+    }
+    debts_.push_back(Debt{first, end, &debtor});
+    return true;
+}
+
+void Memory::release(const sim::Component& debtor) {
+    std::erase_if(debts_, [&](const Debt& debt) { return debt.debtor == &debtor; });
+}
+
+void Memory::settleDebtors(std::uint64_t wordAddress) const {
+    for (std::size_t i = 0; i < debts_.size();) {
+        if (wordAddress < debts_[i].first || wordAddress >= debts_[i].end) {
+            ++i;
+            continue;
+        }
+        // Waking the debtor releases its ranges; rescan what is left.
+        sim::Component& debtor = *debts_[i].debtor;
+        debtor.wake();
+        std::erase_if(debts_, [&](const Debt& debt) { return debt.debtor == &debtor; });
+        i = 0;
+    }
+}
+
+bool Memory::uncorrectable(std::uint64_t wordAddress) const {
+    const std::uint64_t pageIndex = wordAddress / kPageWords;
+    const auto at = [&](const Directory& directory) -> std::uint32_t {
+        return pageIndex < directory.size() && !directory[pageIndex].empty()
+                   ? directory[pageIndex][wordAddress % kPageWords]
+                   : 0;
+    };
+    return std::popcount(at(pages_) ^ at(eccPages_)) > 1;
+}
+
+std::uint32_t Memory::readGuarded(std::uint64_t wordAddress) const {
+    if (!debts_.empty()) {
+        settleDebtors(wordAddress);
+    }
     ++reads_;
     std::uint32_t& stored = word(wordAddress);
     if (eccEnabled_) {
@@ -45,7 +95,10 @@ std::uint32_t Memory::readWord(std::uint64_t wordAddress) const {
     return stored;
 }
 
-void Memory::writeWord(std::uint64_t wordAddress, std::uint32_t value) {
+void Memory::writeGuarded(std::uint64_t wordAddress, std::uint32_t value) {
+    if (!debts_.empty()) {
+        settleDebtors(wordAddress);
+    }
     ++writes_;
     word(wordAddress) = value;
     if (eccEnabled_) {
@@ -65,6 +118,9 @@ void Memory::setEccEnabled(bool enabled) {
 }
 
 void Memory::injectBitFlip(std::uint64_t wordAddress, unsigned bit) {
+    if (!debts_.empty()) {
+        settleDebtors(wordAddress);
+    }
     word(wordAddress) ^= (1U << (bit & 31U));
 }
 

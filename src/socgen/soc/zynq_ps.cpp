@@ -197,14 +197,14 @@ std::uint64_t ZynqPs::fallAsleep() {
     return idle() ? sim::kUnbounded : 0;
 }
 
-bool ZynqPs::skip(std::uint64_t cycles) {
+std::uint64_t ZynqPs::skip(std::uint64_t first, std::uint64_t cycles) {
     tickCount_ += cycles;
-    if (busyFor_ > 0) {
-        busyFor_ -= cycles;
-        cyclesBusy_ += cycles;
-        return true;
+    if (busyFor_ == 0 || cycles == 0) {
+        return sim::kNoProgress;  // asleep on an IRQ, or idle
     }
-    return false;  // asleep on an IRQ, or idle
+    busyFor_ -= cycles;
+    cyclesBusy_ += cycles;
+    return first + cycles - 1;  // every countdown tick is progress
 }
 
 bool ZynqPs::idle() const {

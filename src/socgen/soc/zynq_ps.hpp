@@ -80,7 +80,7 @@ public:
     /// A countdown ends by itself, and queueing an op wakes an idle PS.
     [[nodiscard]] bool canSleep() const override { return true; }
     std::uint64_t fallAsleep() override;
-    bool skip(std::uint64_t cycles) override;
+    std::uint64_t skip(std::uint64_t first, std::uint64_t cycles) override;
     [[nodiscard]] std::string debugState() const override;
 
     // -- statistics ----------------------------------------------------------

@@ -8,8 +8,9 @@
 //   like any other code change.
 // - BoardFastForward runs every configuration again with a probe that
 //   makes the engine tick every component on every cycle, and requires
-//   the same record: per-component sleep and the jumps of the clock must
-//   be invisible in every counter.
+//   the same record: per-component sleep, the moves a sleeping DMA owes
+//   and replays, and the jumps of the clock must be invisible in every
+//   counter.
 
 #include "socgen/apps/kernels.hpp"
 #include "socgen/apps/otsu_project.hpp"
@@ -42,13 +43,20 @@ struct BoardCase {
     hls::KernelLibrary kernels = apps::makeOtsuKernelLibrary(kPixels);
     std::shared_ptr<core::HlsCache> cache = std::make_shared<core::HlsCache>();
     std::vector<core::FlowResult> archs = buildArchs();
+    /// Arch4 with one DMA engine per 'soc link.
+    core::FlowResult arch4PerLink = buildArch(4, soc::DmaPolicy::DmaPerLink);
 
+    core::FlowResult buildArch(int arch, soc::DmaPolicy policy) {
+        core::FlowOptions options = apps::otsuFlowOptions();
+        options.dmaPolicy = policy;
+        core::Flow flow(std::move(options), kernels, cache);
+        return flow.run(format("Arch%d", arch),
+                        core::lowerToTaskGraph(htg, apps::otsuArchPartition(arch)));
+    }
     std::vector<core::FlowResult> buildArchs() {
         std::vector<core::FlowResult> out;
         for (int arch = 1; arch <= 4; ++arch) {
-            core::Flow flow(apps::otsuFlowOptions(), kernels, cache);
-            out.push_back(flow.run(format("Arch%d", arch),
-                                   core::lowerToTaskGraph(htg, apps::otsuArchPartition(arch))));
+            out.push_back(buildArch(arch, soc::DmaPolicy::SharedDma));
         }
         return out;
     }
@@ -66,6 +74,12 @@ struct BoardConfig {
     int arch = 4;
     soc::SystemOptions options;
     sim::FaultPlan plan;
+    soc::DmaPolicy dmaPolicy = soc::DmaPolicy::SharedDma;
+
+    [[nodiscard]] const core::FlowResult& flow() const {
+        return dmaPolicy == soc::DmaPolicy::DmaPerLink ? fixture().arch4PerLink
+                                                      : fixture().archs[arch - 1];
+    }
 };
 
 soc::SystemOptions interruptOptions() {
@@ -110,6 +124,27 @@ std::vector<BoardConfig> boardConfigs() {
         .stallDma(2'200, "axi_dma_0", 400)
         .delayIrq(9'000, "axi_dma_0_s2mm_introut", 500);
     configs.push_back({"Arch4 delayed irq", 4, hardenedOptions(), handPlan});
+    // The hard cases of a DMA that owes its partner's moves: two engines
+    // owing at once, several beats per turn, a two-deep FIFO, and DDR
+    // faults and port corruption landing on words a sleeping DMA still owes
+    // (phase 1 streams 0x1000.. out and 0x100000.. in around cycles
+    // 3300-6700, phase 2 0x100000.. out and 0x280000.. in around 7500-9600).
+    configs.push_back({"Arch4 DMA per link", 4, {}, {}, soc::DmaPolicy::DmaPerLink});
+    soc::SystemOptions twoWords;
+    twoWords.dmaWordsPerCycle = 2;
+    configs.push_back({"Arch1 two words per cycle", 1, twoWords, {}});
+    soc::SystemOptions shallow;
+    shallow.channelCapacity = 2;
+    configs.push_back({"Arch4 channel capacity 2", 4, shallow, {}});
+    sim::FaultPlan owedPlan;
+    owedPlan.flipDdrBit(4'000, 0x1162 - 20, 3)
+        .flipDdrBit(4'000, 0x100121 - 10, 5)
+        .corruptMm2s(4'500, "axi_dma_0", 0x5A5A, 3)
+        .corruptS2mm(5'000, "axi_dma_0", 0x0F0F, 2)
+        .flipDdrBit(9'000, 0x100211 - 5, 1)
+        .flipDdrBit(9'000, 0x2801D1 - 5, 6);
+    configs.push_back({"Arch4 faults on owed words", 4, {}, owedPlan});
+    configs.push_back({"Arch4 faults on owed words, hardened", 4, hardenedOptions(), owedPlan});
     return configs;
 }
 
@@ -119,6 +154,7 @@ struct BoardRecord {
     apps::GrayImage output;
     std::uint64_t probeCalls = 0;  ///< real steps plus jumps
     std::uint64_t coreTicks = 0;   ///< real tick() calls of all cores
+    std::uint64_t dmaTicks = 0;    ///< real tick() calls of all DMA engines
     bool coreSleptWhileOthersRan = false;  ///< a core had fewer ticks than steps
 };
 
@@ -131,6 +167,7 @@ struct ChannelSnapshot final : sim::Probe {
     std::string text;
     std::uint64_t calls = 0;
     std::uint64_t coreTicks = 0;
+    std::uint64_t dmaTicks = 0;
     bool coreSleptWhileOthersRan = false;
 
     void sample(std::uint64_t /*cycles*/) override {
@@ -141,6 +178,10 @@ struct ChannelSnapshot final : sim::Probe {
             const std::uint64_t ticks = sim->engine().realTicks(sim->core(core));
             coreTicks += ticks;
             coreSleptWhileOthersRan |= ticks < sim->engine().steps();
+        }
+        dmaTicks = 0;
+        for (const std::string& dma : sim->dmaNames()) {
+            dmaTicks += sim->engine().realTicks(sim->dma(dma));
         }
         text.clear();
         for (std::size_t i = 0; i < sim->channelCount(); ++i) {
@@ -164,8 +205,8 @@ struct ChannelSnapshot final : sim::Probe {
 BoardRecord runBoard(const BoardConfig& config,
                      const std::function<void(soc::SystemSimulator&)>& extra = {}) {
     BoardCase& bc = fixture();
-    apps::OtsuSystemRunner runner(bc.archs[config.arch - 1],
-                                  apps::otsuArchPartition(config.arch), config.options);
+    apps::OtsuSystemRunner runner(config.flow(), apps::otsuArchPartition(config.arch),
+                                  config.options);
     sim::FaultInjector injector(config.plan);
     ChannelSnapshot snapshot;
     BoardRecord record;
@@ -179,7 +220,7 @@ BoardRecord runBoard(const BoardConfig& config,
                 sim.armFaults(injector);
             }
             snapshot.sim = &sim;
-            for (const auto& [node, program] : bc.archs[config.arch - 1].programs) {
+            for (const auto& [node, program] : config.flow().programs) {
                 snapshot.cores.push_back(node);
             }
             sim.engine().addProbe(snapshot);
@@ -196,6 +237,7 @@ BoardRecord runBoard(const BoardConfig& config,
     record.text += "channels:\n" + snapshot.text;
     record.probeCalls = snapshot.calls;
     record.coreTicks = snapshot.coreTicks;
+    record.dmaTicks = snapshot.dmaTicks;
     record.coreSleptWhileOthersRan = snapshot.coreSleptWhileOthersRan;
     if (!config.plan.empty()) {
         record.text += injector.log() + "\n";
@@ -303,6 +345,11 @@ TEST(BoardFastForward, MatchesPerCycleStepping) {
         EXPECT_LT(fast.coreTicks, slow.coreTicks) << config.label;
         EXPECT_TRUE(fast.coreSleptWhileOthersRan) << config.label;
         EXPECT_FALSE(slow.coreSleptWhileOthersRan) << config.label;
+        if (config.label == "Arch1 polling") {
+            // The DMA sleeps through the image stream, replaying the beats
+            // it owes: far fewer real ticks than pixels.
+            EXPECT_LT(fast.dmaTicks * 8, static_cast<std::uint64_t>(kPixels)) << fast.dmaTicks;
+        }
     }
 }
 
@@ -357,6 +404,177 @@ TEST(BoardFastForward, LiteStartedCoreMatchesPerCycleStepping) {
         EXPECT_NE(fast.find("return 42"), std::string::npos) << fast;
         EXPECT_NE(fast.find("return 9"), std::string::npos) << fast;
     }
+}
+
+/// The stream between 'soc and core port `instance`/`port` of `design`.
+const soc::StreamConnection& socLink(const soc::BlockDesign& design, const std::string& instance,
+                                     const std::string& port) {
+    for (const auto& s : design.streams()) {
+        const bool in = s.from.isSoc() && s.to.instance == instance && s.to.port == port;
+        const bool out = s.to.isSoc() && s.from.instance == instance && s.from.port == port;
+        if (in || out) {
+            return s;
+        }
+    }
+    throw Error("no 'soc link for " + instance + "/" + port);
+}
+
+/// What a hand-written PS program left behind on a board.
+struct HandRun {
+    std::string text;
+    std::uint64_t dmaTicks = 0;  ///< real tick() calls of all DMA engines
+};
+
+/// Runs a hand-written PS program on `flow`'s board, free or pinned to
+/// per-cycle stepping. The record holds the verdict, the execution report,
+/// every channel and monitor counter, the values the program logged, `words`
+/// DDR words from `dumpAt`, and a snapshot with every last-progress cycle.
+HandRun handRun(const core::FlowResult& flow, const soc::SystemOptions& options, bool pinned,
+                const std::function<void(soc::SystemSimulator&, std::vector<std::uint32_t>&)>&
+                    program,
+                std::uint64_t dumpAt, std::size_t words) {
+    soc::SystemSimulator sim(flow.design, flow.programs, options);
+    StepPin pin;
+    if (pinned) {
+        sim.engine().addProbe(pin);
+    }
+    std::vector<std::uint32_t> logged;
+    program(sim, logged);
+    HandRun run;
+    try {
+        run.text = format("cycles: %llu\n", static_cast<unsigned long long>(sim.run(2'000'000)));
+    } catch (const Error& e) {
+        run.text = std::string("error: ") + e.what() + "\n";
+    }
+    run.text += sim.report();
+    for (std::size_t i = 0; i < sim.channelCount(); ++i) {
+        const axi::StreamChannel& ch = sim.channel(i);
+        run.text += format("  %s: pushed %llu popped %llu push-stalls %llu pop-stalls %llu "
+                           "high-water %zu samples %llu avg-occupancy %.9f\n",
+                           ch.name().c_str(), static_cast<unsigned long long>(ch.beatsPushed()),
+                           static_cast<unsigned long long>(ch.beatsPopped()),
+                           static_cast<unsigned long long>(ch.pushStalls()),
+                           static_cast<unsigned long long>(ch.popStalls()), ch.highWater(),
+                           static_cast<unsigned long long>(sim.monitor(i).samples()),
+                           sim.monitor(i).averageOccupancy());
+    }
+    run.text += "logged:";
+    for (const std::uint32_t value : logged) {
+        run.text += format(" 0x%x", value);
+    }
+    run.text += "\nddr:";
+    for (const std::uint32_t value : sim.memory().readBlock(dumpAt, words)) {
+        run.text += format(" %u", value);
+    }
+    run.text += "\n" + sim.engine().snapshot().render() + "\n";
+    for (const std::string& dma : sim.dmaNames()) {
+        run.dmaTicks += sim.engine().realTicks(sim.dma(dma));
+    }
+    return run;
+}
+
+/// Arch1's histogram core fed by an MM2S programmed by hand, so the PS can
+/// act while the transfer streams; `midTransfer` queues what it does then.
+std::function<void(soc::SystemSimulator&, std::vector<std::uint32_t>&)> histogramProgram(
+    const std::function<void(soc::SystemSimulator&, std::vector<std::uint32_t>&)>& midTransfer) {
+    return [midTransfer](soc::SystemSimulator& sim, std::vector<std::uint32_t>& logged) {
+        const soc::BlockDesign& design = fixture().archs[0].design;
+        const soc::StreamConnection& in = socLink(design, "computeHistogram", "grayScaleImage");
+        const soc::StreamConnection& out = socLink(design, "computeHistogram", "histogram");
+        sim.ps().task("stage", 10, [](soc::Memory& mem) {
+            for (std::int64_t i = 0; i < kPixels; ++i) {
+                mem.writeWord(0x100 + static_cast<std::uint64_t>(i),
+                              static_cast<std::uint32_t>(i * 37) & 0xFFU);
+            }
+        });
+        sim.psArmReadDma(out.dmaInstance, out.dmaRoute, 0x8000, 256);
+        const std::uint64_t base = sim.baseAddressOf(in.dmaInstance);
+        sim.ps().writeReg(base + soc::dmareg::kMm2sAddr, 0x100);
+        sim.ps().writeReg(base + soc::dmareg::kMm2sRoute, static_cast<std::uint32_t>(in.dmaRoute));
+        sim.ps().writeReg(base + soc::dmareg::kMm2sLength, static_cast<std::uint32_t>(kPixels));
+        midTransfer(sim, logged);
+        sim.ps().pollEq(base + soc::dmareg::kMm2sStatus, soc::dmareg::kStatusIdle,
+                        soc::dmareg::kStatusIdle);
+        sim.psWaitReadDma(out.dmaInstance);
+    };
+}
+
+TEST(BoardFastForward, PsTaskWritingAnOwedBufferMatchesPerCycleStepping) {
+    // The task rewrites every third word of the buffer the MM2S streams:
+    // words it has read, words a sleeping DMA owes reads of, and words to
+    // come. Each must be read before or after the write as per-cycle
+    // stepping reads it.
+    const auto program = histogramProgram([](soc::SystemSimulator& sim,
+                                             std::vector<std::uint32_t>& /*logged*/) {
+        sim.ps().delay(700);
+        sim.ps().task("scribble", 40, [](soc::Memory& mem) {
+            for (std::int64_t w = 0; w < kPixels; w += 3) {
+                mem.writeWord(0x100 + static_cast<std::uint64_t>(w),
+                              static_cast<std::uint32_t>(w * 11 + 5) & 0xFFU);
+            }
+        });
+    });
+    const core::FlowResult& flow = fixture().archs[0];
+    const HandRun fast = handRun(flow, {}, false, program, 0x8000, 256);
+    const HandRun slow = handRun(flow, {}, true, program, 0x8000, 256);
+    EXPECT_EQ(fast.text, slow.text);
+    EXPECT_NE(fast.text.find("cycles: "), std::string::npos) << fast.text;
+    EXPECT_LT(fast.dmaTicks * 8, static_cast<std::uint64_t>(kPixels)) << fast.dmaTicks;
+}
+
+TEST(BoardFastForward, PsRegisterReadsMidTransferMatchPerCycleStepping) {
+    // A status-register poll on the read pointer, then two reads of the
+    // pointer and the length left: each sees the transfer where per-cycle
+    // stepping has it.
+    const auto program = histogramProgram([](soc::SystemSimulator& sim,
+                                             std::vector<std::uint32_t>& logged) {
+        const std::string dma = socLink(fixture().archs[0].design, "computeHistogram",
+                                        "grayScaleImage")
+                                    .dmaInstance;
+        const std::uint64_t base = sim.baseAddressOf(dma);
+        sim.ps().pollEq(base + soc::dmareg::kMm2sAddr, 0x200, 0x200, 5);
+        const auto peek = [&sim, &logged, dma](soc::Memory& /*mem*/) {
+            logged.push_back(sim.dma(dma).readRegister(soc::dmareg::kMm2sAddr));
+            logged.push_back(sim.dma(dma).readRegister(soc::dmareg::kMm2sLength));
+        };
+        sim.ps().task("peek", 3, peek);
+        sim.ps().delay(333);
+        sim.ps().task("peek", 3, peek);
+    });
+    const core::FlowResult& flow = fixture().archs[0];
+    const HandRun fast = handRun(flow, {}, false, program, 0x8000, 256);
+    const HandRun slow = handRun(flow, {}, true, program, 0x8000, 256);
+    EXPECT_EQ(fast.text, slow.text);
+    EXPECT_NE(fast.text.find("logged: 0x"), std::string::npos) << fast.text;
+}
+
+TEST(BoardFastForward, WedgeAfterOwedPopsMatchesPerCycleStepping) {
+    // Arch4's first phase with an S2MM armed for 8 words more than the
+    // gray stream carries, under the interrupt driver: the DMA's last
+    // progress is a pop it owed while asleep, and the deadlock verdict and
+    // every last-progress cycle must fall where per-cycle stepping puts them.
+    const core::FlowResult& flow = fixture().archs[3];
+    const auto program = [&flow](soc::SystemSimulator& sim,
+                                 std::vector<std::uint32_t>& /*logged*/) {
+        const soc::StreamConnection& in = socLink(flow.design, "grayScale", "imageIn");
+        const soc::StreamConnection& seg = socLink(flow.design, "grayScale", "imageOutSEG");
+        const std::vector<std::uint32_t> packed = fixture().scene.packedPixels();
+        sim.ps().task("stage", 10,
+                      [packed](soc::Memory& mem) { mem.writeBlock(0x1000, packed); });
+        sim.psArmReadDma(seg.dmaInstance, seg.dmaRoute, 0x100000,
+                         static_cast<std::uint32_t>(kPixels + 8));
+        sim.psWriteDma(in.dmaInstance, in.dmaRoute, 0x1000, static_cast<std::uint32_t>(kPixels));
+        sim.psWaitReadDma(seg.dmaInstance);
+    };
+    soc::SystemOptions options;
+    options.useInterrupts = true;
+    options.stallLimit = 3'000;
+    const HandRun fast = handRun(flow, options, false, program, 0x100000 + kPixels - 4, 4);
+    const HandRun slow = handRun(flow, options, true, program, 0x100000 + kPixels - 4, 4);
+    EXPECT_EQ(fast.text, slow.text);
+    EXPECT_NE(fast.text.find("deadlock: no progress for 3000 cycles"), std::string::npos)
+        << fast.text;
+    EXPECT_LT(fast.dmaTicks * 8, static_cast<std::uint64_t>(kPixels)) << fast.dmaTicks;
 }
 
 } // namespace

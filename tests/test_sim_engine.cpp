@@ -172,12 +172,12 @@ public:
     std::uint64_t quietFor() const override {
         return remaining_ > 0 ? remaining_ - 1 : kUnbounded;
     }
-    bool skip(std::uint64_t cycles) override {
-        if (remaining_ == 0) {
-            return false;
+    std::uint64_t skip(std::uint64_t first, std::uint64_t cycles) override {
+        if (remaining_ == 0 || cycles == 0) {
+            return kNoProgress;
         }
         remaining_ -= cycles;
-        return true;
+        return first + cycles - 1;
     }
     std::string debugState() const override {
         return "counting down " + std::to_string(remaining_);
@@ -380,12 +380,12 @@ public:
     }
     bool idle() const override { return received.size() == expected_; }
     std::uint64_t quietFor() const override { return box_.full ? 0 : kUnbounded; }
-    bool skip(std::uint64_t cycles) override {
+    std::uint64_t skip(std::uint64_t /*first*/, std::uint64_t cycles) override {
         age += cycles;
         if (!idle()) {
             waited += cycles;
         }
-        return false;
+        return kNoProgress;
     }
     bool canSleep() const override { return true; }
     std::uint64_t fallAsleep() override {
@@ -595,18 +595,89 @@ TEST(Engine, FinalVerdictAsksEveryComponentAfterSettling) {
     }
 }
 
+/// A sleeper that progresses on scripted cycles and is otherwise wedged:
+/// it sleeps for good after each tick, and its skip() reports the last
+/// scripted cycle of the span it slept, as a DMA replaying owed moves
+/// does. Only a settle shows its progress.
+class Ledger : public Component {
+public:
+    Ledger(const Engine& engine, std::vector<std::uint64_t> progressAt)
+        : engine_(engine), progressAt_(std::move(progressAt)) {}
+
+    const std::string& name() const override { return name_; }
+    bool tick() override { return progresses(engine_.now()); }
+    bool idle() const override { return false; }
+    bool canSleep() const override { return true; }
+    std::uint64_t fallAsleep() override { return kUnbounded; }
+    std::uint64_t skip(std::uint64_t first, std::uint64_t cycles) override {
+        std::uint64_t last = kNoProgress;
+        for (const std::uint64_t at : progressAt_) {
+            if (at >= first && at < first + cycles) {
+                last = at;
+            }
+        }
+        return last;
+    }
+
+private:
+    [[nodiscard]] bool progresses(std::uint64_t cycle) const {
+        return std::find(progressAt_.begin(), progressAt_.end(), cycle) != progressAt_.end();
+    }
+
+    std::string name_ = "ledger";
+    const Engine& engine_;
+    std::vector<std::uint64_t> progressAt_;
+};
+
+TEST(Engine, ProgressMidSleepMovesTheVerdictExactly) {
+    // The last progress falls inside a long sleep, 766 cycles before the
+    // settle that reports it; the verdict and lastProgressCycle must land
+    // where per-cycle stepping puts them.
+    std::vector<std::string> renders;
+    for (const bool pinned : {false, true}) {
+        Engine engine;
+        Ledger ledger(engine, {10, 500, 1234});
+        StepPin pin;
+        CycleCounter probe;
+        engine.add(ledger);
+        if (pinned) {
+            engine.addProbe(pin);
+        }
+        engine.addProbe(probe);
+        try {
+            (void)engine.runUntilIdle(1'000'000, 1'000);
+            FAIL() << "expected a deadlock";
+        } catch (const DeadlockError& e) {
+            EXPECT_EQ(e.report().cycle, 2'235u);
+            EXPECT_EQ(e.report().stallCycles, 1'000u);
+            ASSERT_EQ(e.report().components.size(), 1u);
+            EXPECT_EQ(e.report().components[0].lastProgressCycle, 1'234u);
+            renders.push_back(e.report().render());
+        }
+        EXPECT_EQ(engine.now(), 2'235u);
+        if (!pinned) {
+            EXPECT_LT(engine.realTicks(ledger), 10u);  // it slept through its progress
+        }
+    }
+    ASSERT_EQ(renders.size(), 2u);
+    EXPECT_EQ(renders[0], renders[1]);
+}
+
 /// A scripted component for the randomized scheduler property: it acts
 /// (progress, records the cycle, may poke another component) every
 /// `span` + 1 ticks, with spans drawn from its own seeded stream, and
-/// goes idle after `acts` acts. The ticks in between only count down and
-/// return the component's fixed quiet progress flag. A poke wakes it and
-/// ends its countdown, so it acts on its next tick.
+/// goes idle after `acts` acts. The ticks in between only count down;
+/// they progress never, always, or on the cycles that are multiples of
+/// the component's period, so a skipped span's last progress can fall
+/// anywhere in it. A poke wakes it and ends its countdown, so it acts on
+/// its next tick.
 class Scripted : public Component {
 public:
     Scripted(const Engine& engine, std::string name, std::uint64_t seed, bool sleeps)
         : engine_(engine), name_(std::move(name)), rng_(seed), sleeps_(sleeps) {
         actsLeft_ = 3 + rng_() % 12;
-        quietProgress_ = rng_() % 2 == 0;
+        const std::uint64_t draw = rng_() % 4;
+        quietEvery_ = draw < 2 ? draw : 2 + rng_() % 5;
         wait_ = nextSpan();
     }
 
@@ -620,8 +691,9 @@ public:
         }
         if (wait_ > 0) {
             --wait_;
-            progressTicks += quietProgress_ ? 1 : 0;
-            return quietProgress_;
+            const bool progress = quietEvery_ != 0 && engine_.now() % quietEvery_ == 0;
+            progressTicks += progress ? 1 : 0;
+            return progress;
         }
         acts.push_back(engine_.now());
         ++progressTicks;
@@ -634,14 +706,21 @@ public:
     }
     bool idle() const override { return actsLeft_ == 0; }
     std::uint64_t quietFor() const override { return idle() ? kUnbounded : wait_; }
-    bool skip(std::uint64_t cycles) override {
+    std::uint64_t skip(std::uint64_t first, std::uint64_t cycles) override {
         age += cycles;
         if (idle()) {
-            return false;
+            return kNoProgress;
         }
         wait_ -= cycles;
-        progressTicks += quietProgress_ ? cycles : 0;
-        return quietProgress_;
+        if (quietEvery_ == 0 || cycles == 0) {
+            return kNoProgress;
+        }
+        // Multiples of the period in [first, end): the progressing ticks.
+        const std::uint64_t end = first + cycles;
+        const auto below = [&](std::uint64_t n) { return (n + quietEvery_ - 1) / quietEvery_; };
+        progressTicks += below(end) - below(first);
+        const std::uint64_t last = (end - 1) - (end - 1) % quietEvery_;
+        return last >= first ? last : kNoProgress;
     }
     bool canSleep() const override { return sleeps_; }
     std::string debugState() const override {
@@ -667,7 +746,7 @@ private:
     std::string name_;
     std::mt19937_64 rng_;
     bool sleeps_;
-    bool quietProgress_ = false;
+    std::uint64_t quietEvery_ = 0;  ///< quiet ticks progress on multiples of it (0: never)
     std::uint64_t actsLeft_ = 0;
     std::uint64_t wait_ = 0;
     std::vector<Scripted*> peers_;
